@@ -56,6 +56,29 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = ["main"]
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers no smaller than ``minimum``.
+
+    A bad value becomes a one-line usage error (exit code 2) instead of
+    a traceback from deep inside the run.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 #: The reference benchmark scale (the paper's 6000-request limit study);
 #: ``bench --check`` uses it to detect an un-overridden ``--requests``.
 _BENCH_DEFAULT_REQUESTS = 6000
@@ -82,8 +105,7 @@ def _fig2(args) -> None:
     from repro.metrics.plot import ascii_chart
 
     results = run_limit_study(
-        requests=args.requests, n_workers=args.workers,
-        shards=args.shards,
+        requests=args.requests, n_workers=args.workers
     )
     print(format_figure2(results))
     labels = [f"{edge:g}" for edge in RESPONSE_TIME_EDGES_MS] + ["200+"]
@@ -110,8 +132,7 @@ def _fig3(args) -> None:
     print(
         format_figure3(
             run_limit_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
+                requests=args.requests, n_workers=args.workers
             )
         )
     )
@@ -169,8 +190,7 @@ def _fig6(args) -> None:
     print(
         format_figure6(
             run_rpm_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
+                requests=args.requests, n_workers=args.workers
             )
         )
     )
@@ -182,8 +202,7 @@ def _fig7(args) -> None:
     print(
         format_figure7(
             run_rpm_study(
-                requests=args.requests, n_workers=args.workers,
-                shards=args.shards,
+                requests=args.requests, n_workers=args.workers
             )
         )
     )
@@ -197,8 +216,7 @@ def _fig8(args) -> None:
     )
 
     result = run_raid_study(
-        requests=args.requests, n_workers=args.workers,
-        shards=args.shards,
+        requests=args.requests, n_workers=args.workers
     )
     print(format_figure8_performance(result))
     print()
@@ -350,7 +368,6 @@ def _faults(args) -> None:
         fault_seed=args.fault_seed,
         plan=plan,
         n_workers=args.workers,
-        shards=args.shards,
     )
     print(format_reliability_summary(result))
     print()
@@ -522,7 +539,6 @@ def _profile(args) -> None:
             workloads=args.workloads,
             top=args.top,
             sort=args.sort,
-            shards=args.shards,
         )
     except ValueError as error:
         raise SystemExit(f"profile: {error}")
@@ -870,8 +886,7 @@ def _simulate(args) -> None:
     rows = []
     if args.md:
         env = Environment()
-        result = run_trace(env, build_md_system(env, workload), trace,
-                           shards=args.shards)
+        result = run_trace(env, build_md_system(env, workload), trace)
         rows.append(
             ("MD", result.mean_response_ms, result.percentile(90),
              result.power.total_watts)
@@ -880,7 +895,7 @@ def _simulate(args) -> None:
     system = build_hcsd_system(
         env, workload, actuators=args.actuators, rpm=args.rpm
     )
-    result = run_trace(env, system, trace, shards=args.shards)
+    result = run_trace(env, system, trace)
     rows.append(
         (
             system.label,
@@ -949,30 +964,18 @@ def build_parser() -> argparse.ArgumentParser:
         command.set_defaults(handler=handler)
         command.add_argument(
             "--requests",
-            type=int,
+            type=_int_at_least(1),
             default=4000,
             help="requests per simulation run (default 4000)",
         )
         command.add_argument(
             "--workers",
-            type=int,
+            type=_int_at_least(0),
             default=1,
             help=(
                 "worker processes for independent runs (default 1 = "
                 "in-process; 0 = all cores); results are identical for "
                 "any worker count"
-            ),
-        )
-        command.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help=(
-                "engine shards per simulation (default 1 = serial "
-                "kernel); > 1 partitions each run's drives across "
-                "forked event-loop shards, composing with --workers; "
-                "figures are bit-identical for any shard count (see "
-                "docs/parallelism.md)"
             ),
         )
         command.add_argument(
@@ -1014,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--repeats",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         help="timed repetitions per configuration (default 3)",
     )
@@ -1095,14 +1098,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "delta mode: re-time every cell of a bench snapshot "
-            "(per-workload serial passes, kernel, scheduler kinds) "
+            "(per-workload serial passes and the engine kernel) "
             "and report current vs baseline events/s instead of "
             "profiling"
         ),
     )
     profile.add_argument(
         "--repeats",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help=(
             "timed passes per cell in --compare mode, best-of "
@@ -1225,13 +1228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="serve worker processes (default 2)",
     )
     chaos.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=150,
         help="requests per job spec (default 150; campaigns exercise "
         "the queue, not the simulator)",
@@ -1305,13 +1308,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=1000,
         help="requests per traced run (default 1000)",
     )
     trace.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help=(
             "worker processes (default 1; 0 = all cores); worker "
@@ -1421,13 +1424,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=1000,
         help="requests per traced run (default 1000)",
     )
     report.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="worker processes for the traced run (default 1)",
     )
@@ -1461,7 +1464,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_queue(serve)
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="worker processes (default 2; 1 runs in-process)",
     )
@@ -1560,7 +1563,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=4000,
         help=(
             "requests for --workload jobs, or a replay limit for "

@@ -22,7 +22,6 @@ multiple channels) live in :mod:`repro.core.extensions`.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import List, Optional, Tuple
 
 from repro.core.actuator import ArmAssembly
@@ -346,47 +345,11 @@ class ParallelDisk(ConventionalDrive):
                 retry=penalty,
             )
         total = overhead + seek + rotation + transfer + penalty
-        # Stamped before the timeout (every phase is fixed here and the
-        # request is unobserved while in service) so the sharded kernel
-        # can report the completion, fields included, at dispatch.
         request.seek_time = seek
         request.rotational_latency = rotation
         request.transfer_time = transfer
         request.arm_id = arm.arm_id
-        if self.dispatch_listener is not None:
-            self.dispatch_listener(request, total)
-        env = self.env
-        pool = env._timeout_pool
-        if pool:
-            # Inlined Environment.timeout pool path: ``total`` is a sum
-            # of non-negative phases, so the negative-delay check can't
-            # fire.  One combined service wait per media access makes
-            # this the drive's hottest yield.  See engine.timeout for
-            # the canonical body.
-            wait = pool.pop()
-            wait.delay = total
-            wait._value = None
-            wait._ok = True
-            wait.defused = False
-            env._eid += 1
-            calendar = env._calendar
-            if calendar is not None and (
-                calendar._cursor > calendar._nbuckets
-            ):
-                current = calendar._current
-                insort(
-                    current, (-env._now - total, -1, -env._eid, wait)
-                )
-                if len(current) > calendar._spill_limit:
-                    calendar._rest += len(current)
-                    calendar._overflow.extend(current)
-                    del current[:]
-                    calendar._reseed()
-            else:
-                env._queue.push(env._now + total, 1, env._eid, wait)
-            yield wait
-        else:
-            yield env.timeout(total)
+        yield self.env.timeout(total)
         # Post-service accounting with stats bound once and the
         # record_arm_seek / record_service / move_to bodies inlined
         # (drives preallocate per_arm_seek_ms at construction, and
@@ -411,24 +374,6 @@ class ParallelDisk(ConventionalDrive):
         arm.cylinder = end_cylinder
         self._current_cylinder = end_cylinder
         self._update_cache_planned(request, end_sector, end_spt)
-
-    def min_service_ms(self) -> float:
-        """Conservative lookahead, tightened for surface parallelism.
-
-        With ``m`` surfaces streaming simultaneously the one-sector
-        media floor shrinks to ``period / (max_spt * m)`` (head-switch
-        and track-to-track terms only ever add).  Per-shard arm
-        scheduling does not weaken the bound: whichever arm the SPTF
-        pick selects, its seek and rotation are non-negative.
-        """
-        bus_ms = (512 / self.spec.bus_bytes_per_s) * 1000.0
-        max_spt = max(
-            zone.sectors_per_track for zone in self.geometry.zones
-        )
-        media_ms = self.spindle.period_ms / (
-            max_spt * max(1, self.config.surfaces)
-        )
-        return self.spec.controller_overhead_ms + min(bus_ms, media_ms)
 
     def _transfer_time(self, request: IORequest) -> float:
         """Transfer time, accelerated by surface-level parallelism.

@@ -18,7 +18,6 @@ power model in :mod:`repro.power`.
 from __future__ import annotations
 
 import zlib
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -208,17 +207,6 @@ class ConventionalDrive:
             self._wire_cache_telemetry()
         #: Callbacks invoked with each completed request.
         self.on_complete: List[Callable[[IORequest], None]] = []
-        #: Optional hook called as ``listener(request, total_ms)`` at
-        #: dispatch, after every service phase duration (and therefore
-        #: the completion instant ``now + total_ms``) is fixed and the
-        #: request's measurement fields are stamped, but before the
-        #: service timeout is issued.  The sharded kernel uses this to
-        #: report scheduled completions to the controller ahead of
-        #: their firing; ``None`` (the default) costs one attribute
-        #: load and a branch per service.
-        self.dispatch_listener: Optional[
-            Callable[[IORequest, float], None]
-        ] = None
 
         self._pending: List[IORequest] = []
         self._completions: Dict[int, Event] = {}
@@ -271,31 +259,6 @@ class ConventionalDrive:
         if wakeup is not None and wakeup._ok is None:
             wakeup.succeed()
         return completion
-
-    def min_service_ms(self) -> float:
-        """Provable lower bound on any single service duration (> 0).
-
-        This is the conservative lookahead of the sharded kernel: no
-        request dispatched at time ``t`` can complete before ``t +
-        min_service_ms()``.  Every service path pays the controller
-        overhead plus at least the cheaper of
-
-        * one sector over the bus (the cache-hit floor), or
-        * one sector streamed off the fastest (outermost) zone — seek,
-          settle, rotational latency and retry penalties only add to
-          the media path, and a transfer covers at least one sector at
-          no more than the maximum sectors-per-track rate.
-
-        Both terms are strictly positive, so the bound is usable as a
-        PDES lookahead.  Scaled seeks/rotation (the limit-study knobs)
-        can only reduce terms this bound already excludes.
-        """
-        bus_ms = (512 / self.spec.bus_bytes_per_s) * 1000.0
-        max_spt = max(
-            zone.sectors_per_track for zone in self.geometry.zones
-        )
-        media_ms = self.spindle.period_ms / max_spt
-        return self.spec.controller_overhead_ms + min(bus_ms, media_ms)
 
     def inject_media_error(
         self, attempts: int = 1, lba: Optional[int] = None
@@ -508,44 +471,9 @@ class ConventionalDrive:
                 (self.label, "cache"),
                 args=self._span_args(request),
             )
-        # The completion instant is fixed here, so the measurement
-        # fields can be stamped before the timeout: nothing observes
-        # the request while it is in service, and the sharded kernel
-        # needs a fully described completion at dispatch time.
         request.cache_hit = True
         request.transfer_time = bus_ms
-        if self.dispatch_listener is not None:
-            self.dispatch_listener(request, total)
-        env = self.env
-        pool = env._timeout_pool
-        if pool:
-            # Inlined Environment.timeout pool path (``total`` is a sum
-            # of non-negative terms, so its negative-delay check can't
-            # fire); see engine.timeout for the canonical body.
-            wait = pool.pop()
-            wait.delay = total
-            wait._value = None
-            wait._ok = True
-            wait.defused = False
-            env._eid += 1
-            calendar = env._calendar
-            if calendar is not None and (
-                calendar._cursor > calendar._nbuckets
-            ):
-                current = calendar._current
-                insort(
-                    current, (-env._now - total, -1, -env._eid, wait)
-                )
-                if len(current) > calendar._spill_limit:
-                    calendar._rest += len(current)
-                    calendar._overflow.extend(current)
-                    del current[:]
-                    calendar._reseed()
-            else:
-                env._queue.push(env._now + total, 1, env._eid, wait)
-            yield wait
-        else:
-            yield env.timeout(total)
+        yield self.env.timeout(total)
         self.stats.transfer_ms += total
         self.stats.cache_hits += 1
 
@@ -594,15 +522,9 @@ class ConventionalDrive:
                 retry=penalty,
             )
         total = overhead + seek + rotation + transfer + penalty
-        # Stamped before the timeout: every phase is fixed at dispatch
-        # (see the combined-timeout comment above) and nothing reads
-        # the request mid-service, so the sharded kernel can report the
-        # completion — fields included — the moment it is scheduled.
         request.seek_time = seek
         request.rotational_latency = rotation
         request.transfer_time = transfer
-        if self.dispatch_listener is not None:
-            self.dispatch_listener(request, total)
         yield self.env.timeout(total)
         self.stats.transfer_ms += overhead  # overhead billed as transfer
         self.stats.seek_ms += seek
@@ -717,30 +639,11 @@ class ConventionalDrive:
                 self.cache.invalidate(request.lba, request.size)
 
     def _complete(self, request: IORequest) -> None:
-        env = self.env
-        request.completion_time = env._now
+        request.completion_time = self.env._now
         stats = self.stats
         stats.requests_completed += 1
         if request.is_read:
             stats.reads_completed += 1
-        completion = self._completions.pop(request.request_id)
-        # Event.succeed inlined: the pop above happens exactly once per
-        # request (a double completion would KeyError there first), so
-        # the already-triggered guard cannot trip.  See engine.Event
-        # for the canonical body, including the calendar push.
-        completion._ok = True
-        completion._value = request
-        env._eid += 1
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now, -1, -env._eid, completion))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now, 1, env._eid, completion)
+        self._completions.pop(request.request_id).succeed(request)
         for callback in self.on_complete:
             callback(request)

@@ -43,16 +43,14 @@ class LimitStudyResult:
 
 
 def _limit_job(
-    workload: CommercialWorkload, requests: int, shards: int = 1
+    workload: CommercialWorkload, requests: int
 ) -> LimitStudyResult:
     """One workload's MD and HC-SD runs (executes in a worker)."""
     trace = workload.generate(requests)
     env = Environment()
-    md = run_trace(env, build_md_system(env, workload), trace,
-                   shards=shards)
+    md = run_trace(env, build_md_system(env, workload), trace)
     env = Environment()
-    hcsd = run_trace(env, build_hcsd_system(env, workload), trace,
-                     shards=shards)
+    hcsd = run_trace(env, build_hcsd_system(env, workload), trace)
     return LimitStudyResult(workload=workload.name, md=md, hcsd=hcsd)
 
 
@@ -60,19 +58,16 @@ def run_limit_study(
     workloads: Optional[Iterable[CommercialWorkload]] = None,
     requests: int = DEFAULT_REQUESTS,
     n_workers: int = 1,
-    shards: int = 1,
 ) -> Dict[str, LimitStudyResult]:
     """Run the limit study; returns results keyed by workload name.
 
     ``n_workers`` fans the per-workload jobs out across processes via
-    :func:`repro.experiments.executor.sweep`; ``shards`` runs each
-    simulation on the sharded kernel (one forked engine shard per
-    drive group).  Both compose, and results are bit-identical to the
-    serial path for any worker or shard count.
+    :func:`repro.experiments.executor.sweep`; results are
+    bit-identical to the serial path for any worker count.
     """
     selected = list(workloads or COMMERCIAL_WORKLOADS.values())
     jobs = [
-        Job(_limit_job, (workload, requests, shards), key=workload.name)
+        Job(_limit_job, (workload, requests), key=workload.name)
         for workload in selected
     ]
     return {

@@ -86,7 +86,6 @@ def _cell_job(
     requests: int,
     footprint_fraction: float,
     seed: int,
-    shards: int = 1,
 ) -> RunResult:
     """One (inter-arrival, actuators, disks) cell (executes in a worker)."""
     env = Environment()
@@ -98,7 +97,7 @@ def _cell_job(
         seed=seed,
     )
     trace = workload.generate(requests)
-    return run_trace(env, system, trace, shards=shards)
+    return run_trace(env, system, trace)
 
 
 def run_raid_study(
@@ -109,13 +108,11 @@ def run_raid_study(
     footprint_fraction: float = DEFAULT_FOOTPRINT_FRACTION,
     seed: int = 99,
     n_workers: int = 1,
-    shards: int = 1,
 ) -> RaidStudyResult:
     jobs = [
         Job(
             _cell_job,
-            (ia_ms, actuators, disks, requests, footprint_fraction, seed,
-             shards),
+            (ia_ms, actuators, disks, requests, footprint_fraction, seed),
             key=(ia_ms, actuators, disks),
         )
         for ia_ms in interarrivals_ms

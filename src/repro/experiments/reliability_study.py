@@ -221,7 +221,6 @@ def _run_cell(
     seed: int,
     actuators: int,
     policy: RetryPolicy,
-    shards: int = 1,
 ) -> Dict:
     """One (configuration, mode) cell; executes in a worker process.
 
@@ -257,8 +256,7 @@ def _run_cell(
         mean_interarrival_ms=interarrival_ms,
         seed=seed,
     )
-    run = run_trace(env, system, workload.generate(requests),
-                    shards=shards)
+    run = run_trace(env, system, workload.generate(requests))
 
     # Sum drive-level fault stats over every drive that served —
     # original members, the replaced-out failed member, and the spare.
@@ -431,7 +429,6 @@ def run_reliability_study(
     plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     n_workers: int = 1,
-    shards: int = 1,
 ) -> ReliabilityStudyResult:
     """Run all four cells plus the idle-rebuild baseline.
 
@@ -460,7 +457,6 @@ def run_reliability_study(
                 seed,
                 actuators,
                 policy,
-                shards,
             ),
             key=(config, mode),
         )

@@ -72,14 +72,11 @@ class RpmStudyResult:
         }
 
 
-def _md_job(
-    workload: CommercialWorkload, requests: int, shards: int = 1
-) -> RunResult:
+def _md_job(workload: CommercialWorkload, requests: int) -> RunResult:
     """The MD reference run for one workload (executes in a worker)."""
     trace = workload.generate(requests)
     env = Environment()
-    return run_trace(env, build_md_system(env, workload), trace,
-                     shards=shards)
+    return run_trace(env, build_md_system(env, workload), trace)
 
 
 def _design_job(
@@ -87,14 +84,13 @@ def _design_job(
     actuators: int,
     rpm: Optional[float],
     requests: int,
-    shards: int = 1,
 ) -> RunResult:
     """One (actuators, rpm) design-point run (executes in a worker)."""
     trace = workload.generate(requests)
     env = Environment()
     system = build_hcsd_system(env, workload, actuators=actuators, rpm=rpm)
     label = design_label(actuators, rpm)
-    return run_trace(env, system, trace, label=label, shards=shards)
+    return run_trace(env, system, trace, label=label)
 
 
 def run_rpm_study(
@@ -104,21 +100,19 @@ def run_rpm_study(
     ),
     requests: int = DEFAULT_REQUESTS,
     n_workers: int = 1,
-    shards: int = 1,
 ) -> Dict[str, RpmStudyResult]:
     points = list(design_points)
     selected = list(workloads or COMMERCIAL_WORKLOADS.values())
     jobs = []
     for workload in selected:
         jobs.append(
-            Job(_md_job, (workload, requests, shards),
-                key=(workload.name, "md"))
+            Job(_md_job, (workload, requests), key=(workload.name, "md"))
         )
         for actuators, rpm in points:
             jobs.append(
                 Job(
                     _design_job,
-                    (workload, actuators, rpm, requests, shards),
+                    (workload, actuators, rpm, requests),
                     key=(workload.name, design_label(actuators, rpm)),
                 )
             )

@@ -10,7 +10,6 @@ breakdown, and run metadata.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -21,7 +20,6 @@ from repro.obs.tracer import tracer_for
 from repro.power.accounting import PowerBreakdown, array_power
 from repro.raid.array import DiskArray
 from repro.sim.engine import Environment
-from repro.sim.sharded import ShardedEngine, sharding_available
 from repro.workloads.streaming import StreamingTrace
 from repro.workloads.trace import Trace
 
@@ -78,7 +76,6 @@ def run_trace(
     keep_samples: bool = True,
     label: Optional[str] = None,
     warmup_fraction: float = 0.0,
-    shards: int = 1,
     on_chunk: Optional[Callable[[ChunkProgress], None]] = None,
     chunk_requests: Optional[int] = None,
 ) -> RunResult:
@@ -91,12 +88,6 @@ def run_trace(
     ``warmup_fraction`` discards the first fraction of completions
     from the collector (cold caches, parked arms), for steady-state
     measurements; power accounting always covers the whole run.
-
-    ``shards`` > 1 runs the simulation on the sharded kernel
-    (:mod:`repro.sim.sharded`): one forked engine shard per drive
-    group, merged conservatively so every figure is bit-identical to
-    the serial kernel.  Falls back to the serial kernel when fork is
-    unavailable on the platform.
 
     ``trace`` may also be a
     :class:`~repro.workloads.streaming.StreamingTrace`: requests are
@@ -113,20 +104,11 @@ def run_trace(
         raise ValueError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     if isinstance(trace, StreamingTrace):
         if warmup_fraction > 0.0:
             raise ValueError(
                 "warmup_fraction requires a known trace length; "
                 "materialize the stream or use warmup_fraction=0"
-            )
-        if shards > 1:
-            raise ValueError(
-                "streamed replay runs on the serial kernel: the shard "
-                "workers fork mid-run and cannot share one file "
-                "cursor; use shards=1 (replay-level parallelism comes "
-                "from the job service instead)"
             )
         return _run_trace_streaming(
             env,
@@ -141,8 +123,6 @@ def run_trace(
         raise ValueError(
             "on_chunk/chunk_requests apply to StreamingTrace replays"
         )
-    if shards > 1 and not sharding_available():
-        shards = 1
     collector = RequestCollector(keep_samples=keep_samples)
     warmup_remaining = int(len(trace) * warmup_fraction)
     warmed_up = 0
@@ -189,43 +169,10 @@ def run_trace(
     def producer():
         timeout = env.timeout
         submit = system.submit
-        pool = env._timeout_pool
         for request in fresh:
             delay = request.arrival_time - env._now
             if delay > 0:
-                if pool:
-                    # Inlined Environment.timeout pool path (the
-                    # ``delay > 0`` guard above subsumes its negative-
-                    # delay check); one inter-arrival wait per request
-                    # makes this the producer's hottest line.  See
-                    # engine.timeout for the canonical body.
-                    wait = pool.pop()
-                    wait.delay = delay
-                    wait._value = None
-                    wait._ok = True
-                    wait.defused = False
-                    env._eid += 1
-                    calendar = env._calendar
-                    if calendar is not None and (
-                        calendar._cursor > calendar._nbuckets
-                    ):
-                        current = calendar._current
-                        insort(
-                            current,
-                            (-env._now - delay, -1, -env._eid, wait),
-                        )
-                        if len(current) > calendar._spill_limit:
-                            calendar._rest += len(current)
-                            calendar._overflow.extend(current)
-                            del current[:]
-                            calendar._reseed()
-                    else:
-                        env._queue.push(
-                            env._now + delay, 1, env._eid, wait
-                        )
-                    yield wait
-                else:
-                    yield timeout(delay)
+                yield timeout(delay)
             request.arrival_time = env._now
             submit(request)
 
@@ -237,11 +184,6 @@ def run_trace(
     tracer = tracer_for(env)
     metrics = metrics_for(env)
     wall_start = time.perf_counter() if metrics.enabled else 0.0
-    # Construct the sharded engine before the producer process exists:
-    # it only validates here; the fork happens inside engine.run(), by
-    # which point the producer must already be on the schedule (shard
-    # workers purge it from their inherited copy).
-    engine = ShardedEngine(env, system, shards) if shards > 1 else None
     env.process(producer())
     with tracer.scope(run_label):
         if tracer.enabled:
@@ -251,10 +193,7 @@ def run_trace(
                 (system.label, "run"),
                 args={"requests": len(fresh)},
             )
-        if engine is not None:
-            engine.run()
-        else:
-            env.run()
+        env.run()
         if tracer.enabled:
             tracer.instant(
                 "run-end",
@@ -276,7 +215,7 @@ def run_trace(
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
         metrics.counter(
             "repro_runs_total", "Completed replays", labels=("mode",)
-        ).labels(mode="sharded" if engine is not None else "memory").inc()
+        ).labels(mode="memory").inc()
         metrics.histogram(
             "repro_run_wall_ms", "Wall-clock time of one replay"
         ).observe(wall_ms)

@@ -99,15 +99,6 @@ class FaultInjector:
         self.skipped: List[Tuple[FaultEvent, str]] = []
         #: Rebuild processes started by ``spare_arrival`` events.
         self.rebuilds: List = []
-        if array is not None and any(
-            event.kind in ("drive_failure", "spare_arrival")
-            for event in plan.events
-            if self.kinds is None or event.kind in self.kinds
-        ):
-            # Drive failures abort in-flight requests and rebuilds read
-            # survivors mid-run: the sharded kernel must interleave
-            # those reactions with completions in global time order.
-            array.declare_external_feedback()
         self.process = env.process(self._replay()) if len(plan) else None
 
     # -- replay -------------------------------------------------------------

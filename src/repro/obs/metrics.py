@@ -2,8 +2,7 @@
 
 Where :mod:`repro.obs.tracer` answers "what happened inside this run"
 after the fact, this module answers "what is the system doing right
-now": queue depth, worker liveness, cache hit ratio, shard stall
-time, replay rates.  It is dependency-free and mirrors the tracer's
+now": queue depth, worker liveness, cache hit ratio, replay rates.  It is dependency-free and mirrors the tracer's
 zero-cost contract — the default everywhere is the
 :data:`NULL_METRICS` singleton whose every method is a no-op and
 whose :attr:`~NullMetrics.enabled` flag is ``False``, so

@@ -11,7 +11,6 @@ critical path.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.disk.drive import ConventionalDrive
@@ -93,7 +92,6 @@ class DiskArray:
         self.deadline_misses = 0
         self.unrecovered_requests = 0
         self.aborted_requests = 0
-        self._external_feedback = False
         #: Pre-resolved single-slice translation for the passthrough
         #: layouts (JBOD routes by source disk unchanged; concatenation
         #: lands ``base[source] + lba`` on drive 0).  ``submit`` uses it
@@ -118,42 +116,6 @@ class DiskArray:
     @property
     def outstanding(self) -> int:
         return len(self._outstanding)
-
-    @property
-    def needs_lockstep(self) -> bool:
-        """True when the controller reacts to completions with new work.
-
-        The sharded kernel (:mod:`repro.sim.sharded`) keys its window
-        protocol off this: a retry policy resubmits slices after a
-        completion reports a media error, and a multi-phase layout
-        (RAID-5 read-modify-write, rebuild traffic) issues phase-1
-        writes only once phase-0 reads complete.  Either way drive work
-        is created *in reaction to* drive completions, so shards must
-        advance in bounded lockstep windows.  Feedback-free
-        configurations — every single-phase layout without a retry
-        policy, including degraded/aborted runs on non-redundant
-        layouts — can run each shard to exhaustion in one window.
-
-        External actors that react to simulated time with array-level
-        state changes (a fault injector that fails whole drives or
-        starts rebuilds) must call :meth:`declare_external_feedback`
-        so their reactions also interleave exactly.
-        """
-        return (
-            self.retry_policy is not None
-            or self.layout.feedback_phases
-            or self._external_feedback
-        )
-
-    def declare_external_feedback(self) -> None:
-        """Force lockstep windows under the sharded kernel.
-
-        Called by components outside the array — the fault injector,
-        for one — whose mid-run reactions (``fail_drive``, ``rebuild``)
-        read or abort in-flight completions and therefore must observe
-        them in strict global time order.
-        """
-        self._external_feedback = True
 
     def capacity_sectors(self) -> int:
         return self.layout.capacity_sectors()
@@ -255,24 +217,7 @@ class DiskArray:
         self._outstanding.pop(request.request_id, None)
         if self.tracer.enabled:
             self._record_logical_span(request, slices=1, phases=1)
-        # Event.succeed inlined (the ``_ok`` guard above already
-        # established the event is untriggered); see engine.Event for
-        # the canonical body, including the calendar push.
-        completion._ok = True
-        completion._value = request
-        env = self.env
-        env._eid += 1
-        calendar = env._calendar
-        if calendar is not None and calendar._cursor > calendar._nbuckets:
-            current = calendar._current
-            insort(current, (-env._now, -1, -env._eid, completion))
-            if len(current) > calendar._spill_limit:
-                calendar._rest += len(current)
-                calendar._overflow.extend(current)
-                del current[:]
-                calendar._reseed()
-        else:
-            env._queue.push(env._now, 1, env._eid, completion)
+        completion.succeed(request)
         for callback in self.on_complete:
             callback(request)
 

@@ -67,14 +67,6 @@ class Layout:
     #: Number of member drives the layout spans.
     disk_count: int
 
-    #: True when the layout can issue drive work *in reaction to* drive
-    #: completions (multi-phase maps: phase-1 slices wait on phase-0).
-    #: The sharded kernel uses this to pick its synchronisation
-    #: protocol — feedback-free layouts can run a whole experiment in
-    #: one conservative window, feedback layouts need lockstep windows
-    #: bounded by the lookahead (see :mod:`repro.sim.sharded`).
-    feedback_phases = False
-
     def capacity_sectors(self) -> int:
         """Logical capacity exposed by the layout."""
         raise NotImplementedError
@@ -288,8 +280,6 @@ class Raid5Layout(Layout):
     reads old data and old parity; phase 1 writes new data and new
     parity.
     """
-
-    feedback_phases = True
 
     def __init__(
         self, disk_count: int, disk_capacity: int, stripe_unit: int = 128

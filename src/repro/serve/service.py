@@ -194,7 +194,7 @@ def worker_loop(
     ``max_jobs`` bounds the number of jobs this worker processes.
 
     ``metrics=True`` gives the worker a live :class:`MetricsRegistry`
-    (installed as ambient for the duration, so replay/shard
+    (installed as ambient for the duration, so replay
     instrumentation lands in it too) and writes it atomically to
     ``<queue>/metrics/`` after every job and at least every
     ``heartbeat_interval_s`` seconds — the snapshot files a

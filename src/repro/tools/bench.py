@@ -9,10 +9,10 @@ snapshots from the same machine and interpreter are directly
 comparable, and the recorded figure digest doubles as a regression
 check: serial and parallel runs must produce byte-identical figures.
 
-The JSON schema (``repro-bench/6``)::
+The JSON schema (``repro-bench/7``)::
 
     {
-      "schema": "repro-bench/6",
+      "schema": "repro-bench/7",
       "date": "2026-08-06",
       "python": "3.11.x ...",
       "cpu_count": 8,
@@ -31,31 +31,12 @@ The JSON schema (``repro-bench/6``)::
         "processes": 50, "timeouts": 2000, "events": ...,
         "wall_s": ..., "events_per_s": ...
       },
-      "scheduler": {               # calendar vs heap head-to-head
-        "processes": 50, "timeouts": 2000, "events": ...,
-        "calendar": {"wall_s": ..., "events_per_s": ...},
-        "heap": {"wall_s": ..., "events_per_s": ...},
-        "calendar_speedup_vs_heap": ...   # heap wall / calendar wall
-      },
       "results": [
         {"workers": 1, "wall_s": ..., "events_per_s": ...,
          "speedup_vs_serial": 1.0},
         {"workers": 4, "wall_s": ..., "events_per_s": ...,
          "speedup_vs_serial": ...}
       ],
-      "shard_scaling": {           # sharded-kernel scaling curve
-        "disks": 16, "interarrival_ms": 4.0, "requests": ...,
-        "events": ...,             # serial engine events for the cell
-        "figures_sha256": "...",   # digest of the serial cell figures
-        "figures_identical": true, # every shard count reproduced it
-        "results": [
-          {"shards": 1, "wall_s": ..., "events_per_s": ...,
-           "speedup_vs_serial": 1.0},
-          {"shards": 2, "skipped": true, "reason": "...",
-           "figures_identical": true},
-          ...
-        ]
-      },
       "metrics_overhead": {       # live-metrics cost (non-gating)
         "workload": "websearch", "requests": ...,
         "events": ...,
@@ -65,38 +46,23 @@ The JSON schema (``repro-bench/6``)::
       }
     }
 
-Schema history: v3 added the per-workload serial breakdown and the
-engine-kernel microbenchmark (migrated v1/v2 snapshots carry an empty
-``workload_results`` and a ``null`` kernel — the data cannot be
-reconstructed from older runs).  v4 added the sharded-kernel scaling
-curve — one 16-drive RAID-0 cell run at 1/2/4 engine shards — with
-the same host-honesty rule as the worker sweep: shard counts above
-``cpu_count`` (or on hosts without ``fork``) are never *timed*, but
-every shard count that can run at all is still *executed* once so its
-figure digest is checked against the serial cell (bit-identity is
-host-independent; wall-clocks are not).  Migrated v1/v2/v3 snapshots
-carry a ``null`` ``shard_scaling``.  v5 added the ``metrics_overhead``
-cell — one serial workload pass timed with the live-metrics registry
-off and on (:mod:`repro.obs.metrics`), recording the throughput cost
-of metering and checking the metered figures are bit-identical.  The
-cell is informational, never a gate: ``--check`` ignores it, because
-the overhead of a few counter increments is far below shared-runner
-noise.  Migrated v1-v4 snapshots carry a ``null`` ``metrics_overhead``.
-v6 added the ``scheduler`` cell: the engine-kernel microbenchmark run
-once under each pending-event scheduler kind (the default calendar
-queue and the ``ENGINE_QUEUE=heap`` binary-heap fallback), recording
-both throughputs and the calendar-over-heap speedup.  Both runs must
-schedule the identical event count — the scheduler changes wall-clock,
-never the event stream.  The cell is informational (non-gating), since
-the ratio is host-dependent; migrated v1-v5 snapshots carry a ``null``
-``scheduler``.
+The ``metrics_overhead`` cell times one serial workload pass with the
+live-metrics registry (:mod:`repro.obs.metrics`) off and on, recording
+the throughput cost of metering and checking the metered figures are
+bit-identical.  It is informational, never a gate: ``--check`` ignores
+it, because the overhead of a few counter increments is far below
+shared-runner noise.
+
+Only the current schema loads.  A snapshot written under an older
+schema is rejected with a one-line error asking for a re-recording:
+its timings came from an older simulator and cannot be compared.
 
 Worker counts above ``cpu_count`` are never timed: on an oversubscribed
 host a "parallel" pass measures scheduler contention, not speedup (a
 1-core machine once recorded workers=4 at 0.754× and made the executor
 look like a slowdown).  The sweep caps the parallel configuration at
 ``cpu_count`` and appends a ``{"workers": N, "skipped": true, ...}``
-entry documenting the request (schema bump 1 → 2).
+entry documenting the request.
 
 Wall-clock per configuration is the *minimum* over ``repeats`` timed
 passes — the standard estimator for the noise floor of a deterministic
@@ -113,40 +79,26 @@ import platform
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.configs import (
-    build_hcsd_system,
-    build_md_system,
-    build_raid0_system,
-)
+from repro.experiments.configs import build_hcsd_system, build_md_system
 from repro.experiments.executor import Job, resolve_workers, sweep
 from repro.experiments.runner import run_trace
 from repro.metrics.report import format_table
 from repro.sim.engine import Environment
-from repro.sim.sharded import sharding_available
 from repro.workloads.commercial import COMMERCIAL_WORKLOADS
-from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
     "format_bench",
     "load_bench",
-    "migrate_bench",
     "run_bench",
     "run_kernel_bench",
     "run_metrics_overhead_bench",
-    "run_scheduler_bench",
-    "run_shard_bench",
     "validate_bench",
     "write_bench",
 ]
 
-BENCH_SCHEMA = "repro-bench/6"
-BENCH_SCHEMA_V5 = "repro-bench/5"
-BENCH_SCHEMA_V4 = "repro-bench/4"
-BENCH_SCHEMA_V3 = "repro-bench/3"
-BENCH_SCHEMA_V2 = "repro-bench/2"
-BENCH_SCHEMA_V1 = "repro-bench/1"
+BENCH_SCHEMA = "repro-bench/7"
 
-#: Keys every valid snapshot (any schema version) must carry.
+#: Keys every valid snapshot must carry.
 REQUIRED_KEYS = (
     "schema",
     "date",
@@ -159,7 +111,10 @@ REQUIRED_KEYS = (
     "events",
     "figures_sha256",
     "figures_identical",
+    "workload_results",
+    "kernel",
     "results",
+    "metrics_overhead",
 )
 
 
@@ -223,19 +178,15 @@ KERNEL_PROCESSES = 50
 KERNEL_TIMEOUTS = 2000
 
 
-def _kernel_pass(
-    processes: int, timeouts: int, queue: Optional[str] = None
-) -> int:
+def _kernel_pass(processes: int, timeouts: int) -> int:
     """One pure-engine pass; returns the events scheduled.
 
     Each process cycles through ``timeouts`` awaited timeouts at a
     process-specific delay, so every firing takes the single-waiter
     direct-dispatch path and recycles its Timeout through the pool —
     the simulation-kernel hot loop with nothing else attached.
-    ``queue`` pins the pending-event scheduler kind (``"calendar"`` /
-    ``"heap"``); ``None`` uses the process default.
     """
-    env = Environment(queue=queue)
+    env = Environment()
 
     def cycle(delay: float):
         timeout = env.timeout
@@ -252,14 +203,8 @@ def run_kernel_bench(
     processes: int = KERNEL_PROCESSES,
     timeouts: int = KERNEL_TIMEOUTS,
     repeats: int = 3,
-    queue: Optional[str] = None,
 ) -> Dict:
-    """Time the engine-only microbenchmark (best of ``repeats``).
-
-    ``queue`` pins the scheduler kind for the timed environments; the
-    default ``None`` keeps the process-wide default (calendar unless
-    ``ENGINE_QUEUE`` overrides it).
-    """
+    """Time the engine-only microbenchmark (best of ``repeats``)."""
     if processes < 1 or timeouts < 1:
         raise ValueError(
             f"processes and timeouts must be >= 1, got "
@@ -271,7 +216,7 @@ def run_kernel_bench(
     events = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        events = _kernel_pass(processes, timeouts, queue)
+        events = _kernel_pass(processes, timeouts)
         wall = min(wall, time.perf_counter() - start)
     return {
         "processes": processes,
@@ -279,184 +224,6 @@ def run_kernel_bench(
         "events": events,
         "wall_s": round(wall, 6),
         "events_per_s": round(events / wall, 1),
-    }
-
-
-def run_scheduler_bench(
-    processes: int = KERNEL_PROCESSES,
-    timeouts: int = KERNEL_TIMEOUTS,
-    repeats: int = 3,
-) -> Dict:
-    """Time the kernel microbenchmark under both scheduler kinds.
-
-    Runs the identical engine-only workload once under the calendar
-    queue and once under the binary-heap fallback
-    (``ENGINE_QUEUE=heap``), so the snapshot records the actual
-    scheduler speedup on the recording host rather than leaving it to
-    be inferred from two differently-shaped cells.  The two runs must
-    schedule the same event count — a scheduler may only change
-    wall-clock, never the event stream — and the cell is informational
-    (non-gating) because the ratio is host-dependent.
-    """
-    calendar = run_kernel_bench(processes, timeouts, repeats, "calendar")
-    heap = run_kernel_bench(processes, timeouts, repeats, "heap")
-    if calendar["events"] != heap["events"]:
-        raise RuntimeError(
-            "scheduler bench event counts diverged: calendar="
-            f"{calendar['events']} heap={heap['events']}"
-        )
-    return {
-        "processes": processes,
-        "timeouts": timeouts,
-        "events": calendar["events"],
-        "calendar": {
-            "wall_s": calendar["wall_s"],
-            "events_per_s": calendar["events_per_s"],
-        },
-        "heap": {
-            "wall_s": heap["wall_s"],
-            "events_per_s": heap["events_per_s"],
-        },
-        "calendar_speedup_vs_heap": round(
-            heap["wall_s"] / calendar["wall_s"], 3
-        ),
-    }
-
-
-#: Shard-scaling cell shape: the busiest Figure 8 array size — a
-#: 16-drive RAID-0 under a 4 ms open arrival stream — which is the
-#: configuration the sharded kernel exists for (16 drive groups to
-#: partition, a deep controller queue to overlap).
-SHARD_COUNTS = (1, 2, 4)
-SHARD_DISKS = 16
-SHARD_INTERARRIVAL_MS = 4.0
-SHARD_REQUESTS = 2000
-
-
-def _shard_pass(requests: int, shards: int) -> Tuple[int, List]:
-    """Run the shard-scaling cell once; returns (events, figures).
-
-    The figures tuple deliberately covers every figure family a study
-    derives from a run — mean, p90, total power and the full
-    response-time CDF — so digest equality means the sharded kernel
-    reproduced the *publication output*, not just a summary statistic.
-    """
-    env = Environment()
-    system = build_raid0_system(env, SHARD_DISKS)
-    workload = SyntheticWorkload(
-        capacity_sectors=system.capacity_sectors(),
-        mean_interarrival_ms=SHARD_INTERARRIVAL_MS,
-        footprint_fraction=0.02,
-        seed=99,
-    )
-    trace = workload.generate(requests)
-    run = run_trace(env, system, trace, shards=shards)
-    figures = [
-        run.mean_response_ms,
-        run.percentile(90),
-        run.power.total_watts,
-        list(run.response_cdf()),
-    ]
-    return env.total_events, figures
-
-
-def _shard_digest(figures: List) -> str:
-    payload = json.dumps(figures, sort_keys=True)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-
-def run_shard_bench(
-    requests: int = SHARD_REQUESTS,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    repeats: int = 3,
-) -> Dict:
-    """Time the sharded-kernel scaling curve; returns the v4 section.
-
-    ``shards=1`` (the serial fast path) is always timed, best of
-    ``repeats``.  Higher shard counts follow the host-honesty rule of
-    the worker sweep: a count above ``cpu_count`` is *executed* once —
-    its figure digest against the serial run is the correctness check,
-    and that holds on any host — but its wall-clock is recorded as a
-    skipped entry, because forked shards time-slicing one core measure
-    scheduler contention, not the kernel.  Hosts without the ``fork``
-    start method skip the sharded runs entirely.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
-    counts = list(shard_counts)
-    if not counts or counts[0] != 1:
-        counts = [1] + [count for count in counts if count != 1]
-    cpu = os.cpu_count() or 1
-
-    serial_wall = float("inf")
-    events = 0
-    serial_figures: Optional[List] = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        events, serial_figures = _shard_pass(requests, 1)
-        serial_wall = min(serial_wall, time.perf_counter() - start)
-    digest = _shard_digest(serial_figures)
-
-    identical = True
-    results: List[Dict] = [
-        {
-            "shards": 1,
-            "wall_s": round(serial_wall, 6),
-            "events_per_s": round(events / serial_wall, 1),
-            "speedup_vs_serial": 1.0,
-        }
-    ]
-    for count in counts[1:]:
-        if not sharding_available():
-            results.append(
-                {
-                    "shards": count,
-                    "skipped": True,
-                    "reason": "fork start method unavailable",
-                }
-            )
-            continue
-        if count > cpu:
-            _, figures = _shard_pass(requests, count)
-            matches = _shard_digest(figures) == digest
-            identical = identical and matches
-            results.append(
-                {
-                    "shards": count,
-                    "skipped": True,
-                    "reason": f"exceeds cpu_count={cpu}",
-                    "figures_identical": matches,
-                }
-            )
-            continue
-        wall = float("inf")
-        matches = True
-        for _ in range(repeats):
-            start = time.perf_counter()
-            _, figures = _shard_pass(requests, count)
-            wall = min(wall, time.perf_counter() - start)
-            matches = matches and _shard_digest(figures) == digest
-        identical = identical and matches
-        results.append(
-            {
-                "shards": count,
-                "wall_s": round(wall, 6),
-                "events_per_s": round(events / wall, 1),
-                "speedup_vs_serial": round(serial_wall / wall, 3),
-                "figures_identical": matches,
-            }
-        )
-
-    return {
-        "disks": SHARD_DISKS,
-        "interarrival_ms": SHARD_INTERARRIVAL_MS,
-        "requests": requests,
-        "events": events,
-        "figures_sha256": digest,
-        "figures_identical": identical,
-        "results": results,
     }
 
 
@@ -528,7 +295,7 @@ def run_bench(
     repeats: int = 3,
     workloads: Optional[Sequence[str]] = None,
 ) -> Dict:
-    """Time the reference workload; returns the ``repro-bench/6`` dict.
+    """Time the reference workload; returns the ``repro-bench/7`` dict.
 
     ``workers`` adds a second timed configuration beyond the serial
     baseline (pass 1, the default, to time only the baseline); the
@@ -633,16 +400,10 @@ def run_bench(
         "figures_identical": figures_identical,
         "workload_results": workload_results,
         "kernel": run_kernel_bench(repeats=repeats),
-        "scheduler": run_scheduler_bench(repeats=repeats),
         "results": results,
-        # The scaling cell tracks the caller's request budget (capped
+        # The overhead cell tracks the caller's request budget (capped
         # at its reference size) so a smoke-sized bench stays smoke
-        # sized while the committed baseline records the full curve.
-        "shard_scaling": run_shard_bench(
-            requests=min(requests, SHARD_REQUESTS), repeats=repeats
-        ),
-        # Same budget rule for the metrics-overhead cell, and it
-        # prefers a workload the caller actually selected.
+        # sized, and it prefers a workload the caller actually selected.
         "metrics_overhead": run_metrics_overhead_bench(
             requests=min(requests, METRICS_OVERHEAD_REQUESTS),
             workload=(
@@ -713,53 +474,6 @@ def format_bench(result: Dict) -> str:
             f"events/s ({kernel['processes']} processes x "
             f"{kernel['timeouts']} timeouts)"
         )
-    scheduler = result.get("scheduler")
-    if scheduler:
-        lines.append(
-            "scheduler microbench (non-gating): calendar "
-            f"{scheduler['calendar']['events_per_s']:.0f} events/s vs "
-            f"heap {scheduler['heap']['events_per_s']:.0f} = "
-            f"{scheduler['calendar_speedup_vs_heap']:.2f}x "
-            f"({scheduler['events']} events per pass)"
-        )
-    shard_scaling = result.get("shard_scaling")
-    if shard_scaling:
-        shard_rows = [
-            (
-                entry["shards"],
-                entry["wall_s"],
-                entry["events_per_s"],
-                entry["speedup_vs_serial"],
-            )
-            for entry in shard_scaling["results"]
-            if not entry.get("skipped")
-        ]
-        lines.append(
-            format_table(
-                ["shards", "wall_s", "events_per_s", "speedup"],
-                shard_rows,
-                title=(
-                    f"Sharded kernel: {shard_scaling['disks']}-drive "
-                    f"RAID-0, {shard_scaling['requests']} requests, "
-                    f"{shard_scaling['interarrival_ms']:g} ms arrivals"
-                ),
-                float_format="{:.3f}",
-            )
-        )
-        lines.append(
-            "sharded figures identical to serial: "
-            f"{shard_scaling['figures_identical']}"
-        )
-        lines.extend(
-            f"skipped shards={entry['shards']}: {entry['reason']}"
-            + (
-                " (figures verified identical)"
-                if entry.get("figures_identical")
-                else ""
-            )
-            for entry in shard_scaling["results"]
-            if entry.get("skipped")
-        )
     overhead = result.get("metrics_overhead")
     if overhead:
         lines.append(
@@ -781,52 +495,22 @@ def format_bench(result: Dict) -> str:
 def validate_bench(snapshot: Dict, source: str = "snapshot") -> None:
     """Structural validation of a bench snapshot; raises ``ValueError``.
 
-    Accepts every supported schema version — use :func:`migrate_bench`
-    (or :func:`load_bench`, which validates *and* migrates) to
-    normalise an older snapshot to the current schema.
+    Only the current schema is accepted: an older snapshot was timed on
+    an older simulator, so the error asks for a re-recording instead of
+    comparing against it.
     """
     if not isinstance(snapshot, dict):
         raise ValueError(f"{source}: not a JSON object")
     schema = snapshot.get("schema")
     if schema is None:
         raise ValueError(f"{source}: missing 'schema' field")
-    supported = (
-        BENCH_SCHEMA,
-        BENCH_SCHEMA_V5,
-        BENCH_SCHEMA_V4,
-        BENCH_SCHEMA_V3,
-        BENCH_SCHEMA_V2,
-        BENCH_SCHEMA_V1,
-    )
-    if schema not in supported:
+    if schema != BENCH_SCHEMA:
         raise ValueError(
-            f"{source}: unsupported schema {schema!r} (expected one "
-            f"of {', '.join(supported)})"
+            f"{source}: unsupported schema {schema!r} (expected "
+            f"{BENCH_SCHEMA!r}); re-record it with 'python -m repro "
+            "bench -o PATH'"
         )
     missing = [key for key in REQUIRED_KEYS if key not in snapshot]
-    if schema in (
-        BENCH_SCHEMA,
-        BENCH_SCHEMA_V5,
-        BENCH_SCHEMA_V4,
-        BENCH_SCHEMA_V3,
-    ):
-        missing.extend(
-            key
-            for key in ("workload_results", "kernel")
-            if key not in snapshot
-        )
-    if (
-        schema in (BENCH_SCHEMA, BENCH_SCHEMA_V5, BENCH_SCHEMA_V4)
-        and "shard_scaling" not in snapshot
-    ):
-        missing.append("shard_scaling")
-    if (
-        schema in (BENCH_SCHEMA, BENCH_SCHEMA_V5)
-        and "metrics_overhead" not in snapshot
-    ):
-        missing.append("metrics_overhead")
-    if schema == BENCH_SCHEMA and "scheduler" not in snapshot:
-        missing.append("scheduler")
     if missing:
         raise ValueError(f"{source}: missing keys {missing}")
     if not isinstance(snapshot["results"], list) or not snapshot["results"]:
@@ -842,83 +526,11 @@ def validate_bench(snapshot: Dict, source: str = "snapshot") -> None:
             )
 
 
-def migrate_bench(snapshot: Dict) -> Dict:
-    """Normalise a snapshot to the current ``repro-bench/6`` schema.
-
-    Migrations chain version by version:
-
-    * **v1 → v2** — the worker cap: v1 happily *timed* worker counts
-      above ``cpu_count`` (measuring scheduler contention, not
-      parallelism), where v2 records them as skipped entries.
-      Migration demotes any oversubscribed timed entry to a skipped
-      one — its wall-clock is untrustworthy.
-    * **v2 → v3** — the per-workload serial breakdown and the kernel
-      microbenchmark.  Neither can be reconstructed from an older
-      run, so migrated snapshots carry an empty ``workload_results``
-      list and a ``None`` kernel; consumers treat both as "not
-      recorded".
-    * **v3 → v4** — the sharded-kernel scaling curve.  Older runs
-      never executed the sharded kernel, so migrated snapshots carry
-      a ``None`` ``shard_scaling``.
-    * **v4 → v5** — the metrics-overhead cell.  Older runs never
-      timed the live-metrics registry, so migrated snapshots carry a
-      ``None`` ``metrics_overhead``.
-    * **v5 → v6** — the scheduler head-to-head cell.  Older runs only
-      timed the kernel under one scheduler kind, so migrated snapshots
-      carry a ``None`` ``scheduler``.
-
-    The result is stamped with the schema it now satisfies plus the
-    schema it ``migrated_from``.  Current-schema snapshots are
-    returned as (copies of) themselves.
-    """
-    validate_bench(snapshot)
-    migrated = dict(snapshot)
-    original = migrated["schema"]
-    if original == BENCH_SCHEMA:
-        return migrated
-    if migrated["schema"] == BENCH_SCHEMA_V1:
-        cpu = migrated.get("cpu_count") or 1
-        results = []
-        for entry in migrated["results"]:
-            if not entry.get("skipped") and entry["workers"] > cpu:
-                results.append(
-                    {
-                        "workers": entry["workers"],
-                        "skipped": True,
-                        "reason": (
-                            f"exceeds cpu_count={cpu} (untrusted v1 "
-                            "timing dropped on migration)"
-                        ),
-                        "timed_as": cpu if cpu > 1 else 1,
-                    }
-                )
-            else:
-                results.append(dict(entry))
-        migrated["results"] = results
-        migrated["schema"] = BENCH_SCHEMA_V2
-    if migrated["schema"] == BENCH_SCHEMA_V2:
-        migrated["workload_results"] = []
-        migrated["kernel"] = None
-        migrated["schema"] = BENCH_SCHEMA_V3
-    if migrated["schema"] == BENCH_SCHEMA_V3:
-        migrated["shard_scaling"] = None
-        migrated["schema"] = BENCH_SCHEMA_V4
-    if migrated["schema"] == BENCH_SCHEMA_V4:
-        migrated["metrics_overhead"] = None
-        migrated["schema"] = BENCH_SCHEMA_V5
-    if migrated["schema"] == BENCH_SCHEMA_V5:
-        migrated["scheduler"] = None
-        migrated["schema"] = BENCH_SCHEMA
-    migrated["migrated_from"] = original
-    return migrated
-
-
 def load_bench(path: str) -> Dict:
-    """Read, validate and migrate a bench snapshot from ``path``.
+    """Read and validate a bench snapshot from ``path``.
 
-    Unknown or missing schemas raise ``ValueError`` (no more silently
-    comparing incompatible snapshots); v1-v5 snapshots come back
-    migrated to ``repro-bench/6``.
+    Invalid JSON, a missing or older schema, or missing keys raise
+    ``ValueError``.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -926,7 +538,7 @@ def load_bench(path: str) -> Dict:
         except json.JSONDecodeError as error:
             raise ValueError(f"{path}: not valid JSON: {error}") from None
     validate_bench(snapshot, source=path)
-    return migrate_bench(snapshot)
+    return snapshot
 
 
 def write_bench(result: Dict, path: Optional[str] = None) -> str:

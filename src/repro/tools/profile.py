@@ -10,20 +10,16 @@ its time in.
 
 ``--json`` emits the same entries as machine-readable JSON, so a CI
 step (or a notebook) can diff successive profiles without scraping
-pstats' text layout.  For the kernel target, ``--shards N`` times the
-microbenchmark one shard partition at a time and reports a row per
-shard (``kernel_shards`` in the JSON); ``--shards 1`` is the classic
-single-kernel microbenchmark, bit-for-bit.
+pstats' text layout.  The kernel target also times its pass and
+reports it as one microbenchmark row (``kernel`` in the JSON).
 
 ``--compare BASELINE.json`` switches to delta mode: instead of
 profiling, it re-times every comparable cell of a committed bench
-snapshot — each per-workload serial pass, the engine-kernel
-microbenchmark and (for v6 baselines) both scheduler kinds — and
-reports current events/second against the baseline's, cell by cell.
-That answers "*where* did the throughput move?" after an engine
-change, which the bench's single aggregate number cannot.  Older
-baselines are migrated on load; cells the baseline never recorded are
-skipped.
+snapshot — each per-workload serial pass and the engine-kernel
+microbenchmark — and reports current events/second against the
+baseline's, cell by cell.  That answers "*where* did the throughput
+move?" after an engine change, which the bench's single aggregate
+number cannot.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -70,45 +65,15 @@ def _profile_bench(
     return profiler
 
 
-def _profile_kernel(
-    shards: int = 1,
-) -> Tuple[cProfile.Profile, List[Dict]]:
-    """Profile the engine kernel, one pass per shard partition.
+def _profile_kernel() -> Tuple[cProfile.Profile, Dict]:
+    """Profile one timed pass of the engine kernel microbenchmark."""
+    from repro.tools.bench import run_kernel_bench
 
-    The kernel workload is partitioned the way the sharded engine
-    partitions drives: striped, so ``shards`` kernels each run their
-    share of the ``KERNEL_PROCESSES`` timeout cycles on a private
-    environment.  Each shard's pass is timed individually and returned
-    as a row.  With ``shards=1`` the single row *is* the classic
-    kernel microbenchmark — same call, same event count — so existing
-    profile consumers see unchanged numbers.
-    """
-    from repro.tools.bench import (
-        KERNEL_PROCESSES,
-        KERNEL_TIMEOUTS,
-        _kernel_pass,
-    )
-
-    rows: List[Dict] = []
     profiler = cProfile.Profile()
     profiler.enable()
-    for shard in range(shards):
-        processes = len(range(shard, KERNEL_PROCESSES, shards))
-        start = time.perf_counter()
-        events = _kernel_pass(processes, KERNEL_TIMEOUTS)
-        wall = time.perf_counter() - start
-        rows.append(
-            {
-                "shard": shard,
-                "processes": processes,
-                "timeouts": KERNEL_TIMEOUTS,
-                "events": events,
-                "wall_s": round(wall, 6),
-                "events_per_s": round(events / wall, 1),
-            }
-        )
+    row = run_kernel_bench(repeats=1)
     profiler.disable()
-    return profiler, rows
+    return profiler, row
 
 
 def run_profile(
@@ -117,17 +82,14 @@ def run_profile(
     workloads: Optional[Sequence[str]] = None,
     top: int = 25,
     sort: str = "cumulative",
-    shards: int = 1,
 ) -> Dict:
     """Profile ``target`` and return the top-``top`` entries.
 
     Returns ``{"target", "requests", "total_time_s", "total_calls",
-    "sort", "entries", "shards", "kernel_shards"}`` where each entry
-    carries the function's location, call counts and timings — plain
-    data, JSON-ready.  For the kernel target, ``kernel_shards`` holds
-    one timed microbenchmark row per shard partition (``shards=1``
-    reproduces the classic single-kernel row exactly); the bench
-    target reports ``kernel_shards: None``.
+    "sort", "entries", "kernel"}`` where each entry carries the
+    function's location, call counts and timings — plain data,
+    JSON-ready.  For the kernel target, ``kernel`` holds the timed
+    microbenchmark row; the bench target reports ``kernel: None``.
     """
     if target not in TARGETS:
         raise ValueError(
@@ -141,13 +103,11 @@ def run_profile(
         raise ValueError(f"top must be >= 1, got {top}")
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    kernel_shards: Optional[List[Dict]] = None
+    kernel: Optional[Dict] = None
     if target == "bench":
         profiler = _profile_bench(requests, workloads)
     else:
-        profiler, kernel_shards = _profile_kernel(shards)
+        profiler, kernel = _profile_kernel()
 
     stats = pstats.Stats(profiler, stream=io.StringIO())
     total_calls = stats.total_calls
@@ -183,8 +143,7 @@ def run_profile(
         "target": target,
         "requests": requests if target == "bench" else None,
         "sort": sort,
-        "shards": shards if target == "kernel" else None,
-        "kernel_shards": kernel_shards,
+        "kernel": kernel,
         "total_calls": total_calls,
         "total_time_s": round(total_time, 6),
         "entries": entries[:top],
@@ -194,11 +153,10 @@ def run_profile(
 def run_compare(baseline_path: str, repeats: int = 1) -> Dict:
     """Re-time a bench snapshot's cells and report per-cell deltas.
 
-    Loads (and, for older schemas, migrates) the baseline snapshot,
-    then re-runs every cell it recorded a throughput for — one serial
-    pass per workload at the baseline's request count, the kernel
-    microbenchmark at the baseline's shape, and both scheduler kinds
-    when the baseline carries the v6 cell.  Each fresh wall-clock is
+    Loads the baseline snapshot, then re-runs every cell it recorded a
+    throughput for — one serial pass per workload at the baseline's
+    request count and the kernel microbenchmark at the baseline's
+    shape.  Each fresh wall-clock is
     the best of ``repeats`` passes.  Deltas are informational: the
     caller decides what counts as a regression (host noise on shared
     machines easily reaches several percent).
@@ -207,7 +165,6 @@ def run_compare(baseline_path: str, repeats: int = 1) -> Dict:
         _bench_job,
         load_bench,
         run_kernel_bench,
-        run_scheduler_bench,
     )
 
     if repeats < 1:
@@ -249,22 +206,10 @@ def run_compare(baseline_path: str, repeats: int = 1) -> Dict:
         )
         add_cell("kernel", kernel["events_per_s"], fresh["events_per_s"])
 
-    scheduler = baseline.get("scheduler")
-    if scheduler:
-        fresh = run_scheduler_bench(
-            scheduler["processes"], scheduler["timeouts"], repeats
-        )
-        for kind in ("calendar", "heap"):
-            add_cell(
-                f"scheduler:{kind}",
-                scheduler[kind]["events_per_s"],
-                fresh[kind]["events_per_s"],
-            )
-
     return {
         "baseline_path": baseline_path,
         "baseline_date": baseline.get("date"),
-        "baseline_schema": baseline.get("migrated_from", baseline["schema"]),
+        "baseline_schema": baseline["schema"],
         "requests": requests,
         "repeats": repeats,
         "cells": cells,
@@ -303,9 +248,7 @@ def format_compare(result: Dict) -> str:
         "only the bench digest gates"
     )
     if not result["cells"]:
-        footer = (
-            "baseline recorded no comparable cells (pre-v3 snapshot?)"
-        )
+        footer = "baseline recorded no comparable cells"
     return "\n".join([table, footer])
 
 
@@ -346,11 +289,12 @@ def format_profile(result: Dict) -> str:
         f"{result['total_time_s']:.3f}s"
     )
     lines = [table, footer]
-    for row in result.get("kernel_shards") or []:
+    kernel = result.get("kernel")
+    if kernel:
         lines.append(
-            f"shard {row['shard']}: {row['events']} events in "
-            f"{row['wall_s']:.3f}s = {row['events_per_s']:.0f} "
-            f"events/s ({row['processes']} processes x "
-            f"{row['timeouts']} timeouts)"
+            f"kernel pass: {kernel['events']} events in "
+            f"{kernel['wall_s']:.3f}s = {kernel['events_per_s']:.0f} "
+            f"events/s ({kernel['processes']} processes x "
+            f"{kernel['timeouts']} timeouts)"
         )
     return "\n".join(lines)

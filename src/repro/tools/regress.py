@@ -6,9 +6,7 @@ against the committed snapshot.  Three classes of check:
 
 * **Correctness (hard).**  Both snapshots must validate against the
   bench schema, the current run's serial and parallel figures must be
-  bit-identical (``figures_identical``), the sharded kernel must have
-  reproduced the serial cell bit-for-bit
-  (``shard_scaling.figures_identical``), and — when the two snapshots
+  bit-identical (``figures_identical``), and — when the two snapshots
   ran the same workloads at the same request count — the figure
   digests must match exactly.  The simulation is deterministic across
   machines and Python versions, so a digest mismatch means the
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.tools.bench import migrate_bench
+from repro.tools.bench import validate_bench
 
 __all__ = ["CheckResult", "compare_bench", "format_check"]
 
@@ -73,18 +71,17 @@ def compare_bench(
 ) -> CheckResult:
     """Compare ``current`` against ``baseline``; see module docstring.
 
-    Both snapshots are validated (and the baseline migrated) on entry,
-    so a stale v1 baseline is compared on v2 terms rather than
-    rejected or silently mis-read.
+    Both snapshots are validated on entry; one that fails validation
+    (an older schema included) is reported as a problem.
     """
     result = CheckResult()
     try:
-        baseline = migrate_bench(baseline)
+        validate_bench(baseline)
     except ValueError as error:
         result.problems.append(f"baseline invalid: {error}")
         return result
     try:
-        current = migrate_bench(current)
+        validate_bench(current)
     except ValueError as error:
         result.problems.append(f"current run invalid: {error}")
         return result
@@ -93,38 +90,6 @@ def compare_bench(
         result.problems.append(
             "current run: serial and parallel figures differ "
             "(figures_identical is false) — determinism broken"
-        )
-
-    current_shards = current.get("shard_scaling")
-    if current_shards and not current_shards.get(
-        "figures_identical", False
-    ):
-        result.problems.append(
-            "current run: sharded-kernel figures differ from serial "
-            "(shard_scaling.figures_identical is false) — the "
-            "conservative parallel kernel broke bit-identity"
-        )
-    baseline_shards = baseline.get("shard_scaling")
-    if (
-        current_shards
-        and baseline_shards
-        and baseline_shards["requests"] == current_shards["requests"]
-        and baseline_shards["disks"] == current_shards["disks"]
-    ):
-        if (
-            baseline_shards["figures_sha256"]
-            != current_shards["figures_sha256"]
-        ):
-            result.problems.append(
-                "shard-scaling cell digest mismatch: baseline "
-                f"{baseline_shards['figures_sha256'][:12]}… vs current "
-                f"{current_shards['figures_sha256'][:12]}… — RAID cell "
-                "output changed"
-            )
-    elif current_shards and not baseline_shards:
-        result.notes.append(
-            "shard-scaling digest not compared: baseline predates "
-            "repro-bench/4"
         )
 
     comparable = (
@@ -208,10 +173,6 @@ def compare_bench(
         result.notes.append(
             f"platform differs: baseline {baseline.get('platform')!r}, "
             f"current {current.get('platform')!r}"
-        )
-    if baseline.get("migrated_from"):
-        result.notes.append(
-            f"baseline migrated from {baseline['migrated_from']}"
         )
     return result
 

@@ -1,8 +1,35 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import ARTIFACTS, build_parser, main
+
+
+def _count_flag_cases():
+    """(subcommand, flag, bad value) for every count flag the CLI takes."""
+    parser = build_parser()
+    subcommands = next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    cases = []
+    for name, command in subcommands.items():
+        flags = {
+            option
+            for action in command._actions
+            for option in action.option_strings
+        }
+        for flag, bad in (
+            ("--requests", "0"),
+            ("--repeats", "0"),
+            ("--workers", "-2"),
+        ):
+            if flag in flags:
+                cases.append((name, flag, bad))
+    return cases
 
 
 class TestParser:
@@ -29,6 +56,18 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command,flag,bad", _count_flag_cases())
+    def test_bad_count_flag_is_a_one_line_usage_error(
+        self, command, flag, bad, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be >= " in err
+        assert f"got {bad}" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:

@@ -135,10 +135,6 @@ class TestRestrictions:
         with pytest.raises(ValueError, match="warmup_fraction"):
             replay(StreamingTrace(trace_file), warmup_fraction=0.1)
 
-    def test_shards_rejected_for_streams(self, trace_file):
-        with pytest.raises(ValueError, match="serial kernel"):
-            replay(StreamingTrace(trace_file), shards=2)
-
     def test_on_chunk_rejected_for_in_memory_traces(self):
         trace = Trace(WEBSEARCH.generate(10).requests)
         with pytest.raises(ValueError, match="StreamingTrace"):

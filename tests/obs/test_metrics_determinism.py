@@ -107,26 +107,3 @@ class TestZeroCostDisabled:
                 StreamingTrace(path, chunk_requests=64),
             )
         assert run.mean_response_ms > 0
-
-    def test_disabled_metrics_never_reached_sharded(self):
-        from repro.sim.sharded import sharding_available
-
-        if not sharding_available():
-            pytest.skip("fork start method unavailable")
-        from repro.experiments.configs import build_raid0_system
-        from repro.experiments.runner import run_trace
-        from repro.sim.engine import Environment
-        from repro.workloads.synthetic import SyntheticWorkload
-
-        with metrics_session(ExplodingMetrics()):
-            env = Environment()
-            system = build_raid0_system(env, 4)
-            workload = SyntheticWorkload(
-                capacity_sectors=system.capacity_sectors(),
-                mean_interarrival_ms=4.0,
-                footprint_fraction=0.02,
-                seed=7,
-            )
-            run = run_trace(env, system, workload.generate(120),
-                            shards=2)
-        assert run.mean_response_ms > 0

@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel: events, processes, conditions."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import (
@@ -415,3 +417,147 @@ class TestDeterminism:
         env.process(iter_timeout(env, 5))
         env.run()
         assert env.now == pytest.approx(105.0)
+
+
+def _tie_break_order(env, fire_log, processes=6, cycles=5):
+    """Spawn ``processes`` cycling through identical delays.
+
+    Every cycle, all processes' timeouts fire at the same simulated
+    instant with the same priority — the pure tie-break case.  Each
+    firing appends ``(tag, now)`` to ``fire_log``.
+    """
+
+    def cycle(tag):
+        for _ in range(cycles):
+            yield env.timeout(1.0)
+            fire_log.append((tag, env.now))
+
+    for tag in range(processes):
+        env.process(cycle(tag))
+
+
+class TestSimultaneousEventOrdering:
+    def test_equal_time_events_fire_in_submission_order(self):
+        env = Environment()
+        log = []
+        _tie_break_order(env, log)
+        env.run()
+        # At every instant, tags appear in creation order.
+        for step in range(5):
+            instant = log[step * 6:(step + 1) * 6]
+            assert [tag for tag, _ in instant] == list(range(6))
+            assert len({now for _, now in instant}) == 1
+
+    def test_timeout_pool_revival_keeps_tie_break(self):
+        # Recycled Timeout objects must not carry stale ordering: a
+        # revived timeout scheduled at the same instant as a fresh one
+        # still resolves by submission order.  Interleave a process
+        # that churns the pool (many short cycles, each recycling its
+        # Timeout) with late-started processes that draw revived
+        # objects from it.
+        env = Environment()
+        log = []
+
+        def churn(tag):
+            for _ in range(10):
+                yield env.timeout(0.5)
+                log.append((tag, env.now))
+
+        def late(tag, start):
+            yield env.timeout(start)
+            for _ in range(4):
+                yield env.timeout(0.5)
+                log.append((tag, env.now))
+
+        env.process(churn("a"))
+        env.process(churn("b"))
+        env.process(late("x", 1.5))
+        env.process(late("y", 1.5))
+        env.run()
+        by_instant = {}
+        for tag, now in log:
+            by_instant.setdefault(now, []).append(tag)
+        # Where all four coincide, the order is scheduling order: the
+        # late starters woke at 1.5 on timeouts created at time 0 —
+        # older than the churners' cycle-3 timeouts — so they schedule
+        # their next (pool-revived) timeouts first and fire first.
+        for now, tags in by_instant.items():
+            if set(tags) == {"a", "b", "x", "y"}:
+                assert tags == ["x", "y", "a", "b"], (now, tags)
+        assert any(
+            set(tags) == {"a", "b", "x", "y"}
+            for tags in by_instant.values()
+        )
+
+
+def chaotic_run(seed, processes=20, cycles=30):
+    """One engine run full of schedule/cancel/revive traffic.
+
+    Each process awaits pooled timeouts (revive: fired timeouts are
+    recycled through the timeout pool); sibling processes randomly
+    interrupt each other mid-wait (cancel: the interrupted wait's
+    schedule entry goes stale and is lazily dropped).  Returns the
+    full resumption record — order, simulated times and per-process
+    interrupt counts — plus the environment it ran in.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    log = []
+    workers = []
+
+    def worker(me):
+        interrupted = 0
+        for cycle in range(cycles):
+            delay = 0.25 + rng.random() * rng.choice([1.0, 10.0, 200.0])
+            try:
+                yield env.timeout(delay)
+            except Interrupt:
+                interrupted += 1
+            log.append((me, cycle, env.now, interrupted))
+            if workers and rng.random() < 0.15:
+                victim = workers[rng.randrange(len(workers))]
+                if victim._ok is None and victim is not env.active_process:
+                    victim.interrupt(cause=me)
+
+    for index in range(processes):
+        workers.append(env.process(worker(index)))
+    env.run()
+    return log, env
+
+
+class TestCancelRevive:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cancel_revive_runs_are_deterministic(self, seed):
+        log, env = chaotic_run(seed)
+        again, other = chaotic_run(seed)
+        assert log == again
+        assert (env.total_events, env.now) == (other.total_events, other.now)
+        # Every process ran to completion, resumptions never went back
+        # in time, and each stale entry was dropped when it surfaced.
+        assert len(log) == 20 * 30
+        times = [now for _, _, now, _ in log]
+        assert times == sorted(times)
+        assert any(interrupted for *_, interrupted in log)
+        assert env.scheduled_events == 0
+        assert env._stale_events == 0
+
+    def test_timeout_pool_revival_is_order_neutral(self):
+        # Serial awaited timeouts recycle through the pool; the pooled
+        # fast path must not perturb inter-process ordering at shared
+        # firing times.
+        env = Environment()
+        order = []
+
+        def ticker(name, delay):
+            for _ in range(50):
+                yield env.timeout(delay)
+                order.append((name, env.now))
+
+        for name in range(8):
+            env.process(ticker(name, 1.0))  # all collide every tick
+        env.run()
+        assert order == [
+            (name, float(tick)) for tick in range(1, 51) for name in range(8)
+        ]
+        # Per process: one initialisation, 50 timeouts, one exit.
+        assert env.total_events == 8 * 52

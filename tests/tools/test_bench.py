@@ -1,7 +1,7 @@
 """Smoke tests for the benchmark harness (``python -m repro bench``).
 
 Marked ``bench_smoke``: a tiny (500-request) pass that checks the
-``repro-bench/6`` JSON schema and the harness's determinism promise
+``repro-bench/7`` JSON schema and the harness's determinism promise
 without timing anything meaningful.  Runs inside the tier-1 suite.
 """
 
@@ -32,9 +32,7 @@ REQUIRED_KEYS = {
     "workload_results",
     "kernel",
     "results",
-    "shard_scaling",
     "metrics_overhead",
-    "scheduler",
 }
 
 RESULT_KEYS = {"workers", "wall_s", "events_per_s", "speedup_vs_serial"}
@@ -59,6 +57,8 @@ class TestBenchSmoke:
     def test_schema_keys(self, smoke_result):
         assert smoke_result["schema"] == BENCH_SCHEMA
         assert REQUIRED_KEYS <= set(smoke_result)
+        # v7 dropped v6's scheduler and shard-scaling cells.
+        assert not {"scheduler", "shard_scaling"} & set(smoke_result)
         for entry in smoke_result["results"]:
             if entry.get("skipped"):
                 assert {"workers", "skipped", "reason"} <= set(entry)
@@ -115,51 +115,6 @@ class TestBenchSmoke:
         assert kernel["events"] == expected
         assert kernel["wall_s"] > 0
 
-    def test_scheduler_cell_shape(self, smoke_result):
-        cell = smoke_result["scheduler"]
-        # Same deterministic event count as the kernel cell, and both
-        # scheduler kinds must have scheduled exactly that many — a
-        # scheduler changes wall-clock, never the event stream.
-        assert cell["events"] == smoke_result["kernel"]["events"]
-        for kind in ("calendar", "heap"):
-            assert cell[kind]["wall_s"] > 0
-            assert cell[kind]["events_per_s"] > 0
-        assert cell["calendar_speedup_vs_heap"] > 0
-
-    def test_shard_scaling_shape(self, smoke_result):
-        section = smoke_result["shard_scaling"]
-        assert section["disks"] == 16
-        # The scaling cell tracks the (smaller) smoke request budget.
-        assert section["requests"] == 500
-        assert section["events"] > 0
-        assert len(section["figures_sha256"]) == 64
-        serial = section["results"][0]
-        assert serial["shards"] == 1
-        assert serial["wall_s"] > 0
-        assert serial["speedup_vs_serial"] == 1.0
-        assert [e["shards"] for e in section["results"]] == [1, 2, 4]
-
-    def test_shard_scaling_bit_identity(self, smoke_result):
-        # Every shard count that executed — timed or skipped-for-cpu —
-        # must have reproduced the serial cell's figures exactly.
-        section = smoke_result["shard_scaling"]
-        executed = [
-            e
-            for e in section["results"]
-            if "figures_identical" in e
-        ]
-        assert all(e["figures_identical"] for e in executed)
-        assert section["figures_identical"] is True
-
-    def test_oversubscribed_shards_not_timed(self, smoke_result):
-        cpu = os.cpu_count() or 1
-        for entry in smoke_result["shard_scaling"]["results"]:
-            if entry["shards"] > cpu:
-                assert entry["skipped"] is True
-                assert "wall_s" not in entry
-            elif not entry.get("skipped"):
-                assert entry["wall_s"] > 0
-
     def test_metrics_overhead_shape(self, smoke_result):
         cell = smoke_result["metrics_overhead"]
         assert cell["workload"] == "websearch"
@@ -177,11 +132,8 @@ class TestBenchSmoke:
         assert "cpu_count" in text
         assert "kernel microbench" in text
         assert "websearch" in text
-        assert "Sharded kernel" in text
-        assert "sharded figures identical to serial: True" in text
         assert "metrics overhead" in text
         assert "metered figures identical: True" in text
-        assert "scheduler microbench" in text
 
     def test_oversubscribed_workers_not_timed(self):
         cpu = os.cpu_count() or 1

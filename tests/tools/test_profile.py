@@ -60,15 +60,10 @@ class TestRunProfile:
         result = run_profile(target="kernel", top=3)
         assert json.loads(json.dumps(result)) == result
 
-    def test_single_shard_is_the_classic_kernel_row(self):
+    def test_kernel_row_is_the_classic_microbenchmark(self):
         from repro.tools.bench import KERNEL_PROCESSES, KERNEL_TIMEOUTS
 
-        result = run_profile(target="kernel", top=3)
-        assert result["shards"] == 1
-        rows = result["kernel_shards"]
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["shard"] == 0
+        row = run_profile(target="kernel", top=3)["kernel"]
         assert row["processes"] == KERNEL_PROCESSES
         assert row["timeouts"] == KERNEL_TIMEOUTS
         # Deterministic event count of the classic microbenchmark:
@@ -77,25 +72,11 @@ class TestRunProfile:
         assert row["events"] == KERNEL_PROCESSES * (KERNEL_TIMEOUTS + 2)
         assert row["wall_s"] > 0
 
-    def test_shard_rows_partition_the_kernel(self):
-        from repro.tools.bench import KERNEL_PROCESSES, KERNEL_TIMEOUTS
-
-        result = run_profile(target="kernel", top=3, shards=4)
-        rows = result["kernel_shards"]
-        assert [row["shard"] for row in rows] == [0, 1, 2, 3]
-        assert (
-            sum(row["processes"] for row in rows) == KERNEL_PROCESSES
-        )
-        for row in rows:
-            expected = row["processes"] * (KERNEL_TIMEOUTS + 2)
-            assert row["events"] == expected
-
-    def test_bench_target_has_no_shard_rows(self):
+    def test_bench_target_has_no_kernel_row(self):
         result = run_profile(
             target="bench", requests=100, workloads=["websearch"], top=3
         )
-        assert result["shards"] is None
-        assert result["kernel_shards"] is None
+        assert result["kernel"] is None
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="unknown profile target"):
@@ -108,8 +89,6 @@ class TestRunProfile:
             run_profile(requests=0)
         with pytest.raises(ValueError, match="unknown workloads"):
             run_profile(requests=100, workloads=["nope"])
-        with pytest.raises(ValueError, match="shards"):
-            run_profile(target="kernel", shards=0)
 
     def test_format_mentions_total(self):
         result = run_profile(target="kernel", top=3)
@@ -131,55 +110,27 @@ class TestRunCompare:
         directory = tmp_path_factory.mktemp("compare")
         return write_bench(result, str(directory / "base.json"))
 
-    def test_cells_cover_workloads_kernel_and_scheduler(
-        self, baseline_path
-    ):
+    def test_cells_cover_workloads_and_kernel(self, baseline_path):
         result = run_compare(baseline_path)
         names = [cell["cell"] for cell in result["cells"]]
-        assert names == [
-            "workload:websearch",
-            "kernel",
-            "scheduler:calendar",
-            "scheduler:heap",
-        ]
+        assert names == ["workload:websearch", "kernel"]
         for cell in result["cells"]:
             assert cell["baseline_events_per_s"] > 0
             assert cell["current_events_per_s"] > 0
             assert cell["delta_fraction"] is not None
         assert result["requests"] == 200
-        assert result["baseline_schema"] == "repro-bench/6"
+        assert result["baseline_schema"] == "repro-bench/7"
 
     def test_result_is_json_serialisable(self, baseline_path):
         result = run_compare(baseline_path)
         assert json.loads(json.dumps(result)) == result
-
-    def test_migrated_baseline_skips_unrecorded_cells(self, tmp_path):
-        from repro.tools.bench import (
-            BENCH_SCHEMA_V5,
-            load_bench,
-            run_bench,
-            write_bench,
-        )
-
-        snapshot = run_bench(
-            requests=200, workers=1, repeats=1, workloads=("websearch",)
-        )
-        # Demote the fresh snapshot to v5: no scheduler cell recorded.
-        snapshot["schema"] = BENCH_SCHEMA_V5
-        del snapshot["scheduler"]
-        path = write_bench(snapshot, str(tmp_path / "v5.json"))
-        assert load_bench(path)["scheduler"] is None
-        result = run_compare(path)
-        names = [cell["cell"] for cell in result["cells"]]
-        assert names == ["workload:websearch", "kernel"]
-        assert result["baseline_schema"] == BENCH_SCHEMA_V5
 
     def test_format_lists_every_cell(self, baseline_path):
         result = run_compare(baseline_path)
         text = format_compare(result)
         assert "Per-cell events/s vs" in text
         assert "workload:websearch" in text
-        assert "scheduler:heap" in text
+        assert "kernel" in text
         assert "%" in text
 
     def test_bad_inputs_rejected(self, baseline_path, tmp_path):
@@ -205,15 +156,7 @@ class TestProfileCli:
         result = json.loads(capsys.readouterr().out)
         assert result["target"] == "kernel"
         assert len(result["entries"]) == 3
-        assert len(result["kernel_shards"]) == 1
-
-    def test_cli_shards_flag_reaches_the_profiler(self, capsys):
-        code = main(["profile", "--target", "kernel", "--top", "3",
-                     "--json", "--shards", "2"])
-        assert code == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["shards"] == 2
-        assert [r["shard"] for r in result["kernel_shards"]] == [0, 1]
+        assert result["kernel"]["events"] > 0
 
     def test_cli_unknown_workload_exits_cleanly(self):
         with pytest.raises(SystemExit, match="profile:"):

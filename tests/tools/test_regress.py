@@ -1,5 +1,5 @@
 """Tests for the bench regression gate (repro.tools.regress) and the
-snapshot loader/validator/migrator (repro.tools.bench)."""
+snapshot loader/validator (repro.tools.bench)."""
 
 import json
 
@@ -8,44 +8,11 @@ import pytest
 from repro.cli import main
 from repro.tools.bench import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
-    BENCH_SCHEMA_V2,
-    BENCH_SCHEMA_V3,
-    BENCH_SCHEMA_V4,
-    BENCH_SCHEMA_V5,
     load_bench,
-    migrate_bench,
     validate_bench,
     write_bench,
 )
 from repro.tools.regress import CheckResult, compare_bench, format_check
-
-
-def shard_scaling(**overrides):
-    base = {
-        "disks": 16,
-        "interarrival_ms": 4.0,
-        "requests": 2000,
-        "events": 40000,
-        "figures_sha256": "c" * 64,
-        "figures_identical": True,
-        "results": [
-            {
-                "shards": 1,
-                "wall_s": 1.0,
-                "events_per_s": 40000.0,
-                "speedup_vs_serial": 1.0,
-            },
-            {
-                "shards": 2,
-                "skipped": True,
-                "reason": "exceeds cpu_count=1",
-                "figures_identical": True,
-            },
-        ],
-    }
-    base.update(overrides)
-    return base
 
 
 def snapshot(**overrides):
@@ -84,7 +51,6 @@ def snapshot(**overrides):
                 "speedup_vs_serial": 1.0,
             }
         ],
-        "shard_scaling": shard_scaling(),
         "metrics_overhead": {
             "workload": "websearch",
             "requests": 2000,
@@ -94,30 +60,8 @@ def snapshot(**overrides):
             "overhead_fraction": 0.01,
             "figures_identical": True,
         },
-        "scheduler": {
-            "processes": 50,
-            "timeouts": 2000,
-            "events": 100050,
-            "calendar": {"wall_s": 0.3, "events_per_s": 333500.0},
-            "heap": {"wall_s": 0.6, "events_per_s": 166750.0},
-            "calendar_speedup_vs_heap": 2.0,
-        },
     }
     base.update(overrides)
-    if base["schema"] != BENCH_SCHEMA:
-        # Older schemas predate the scheduler head-to-head cell.
-        base.pop("scheduler", None)
-    if base["schema"] not in (BENCH_SCHEMA, BENCH_SCHEMA_V5):
-        # v1-v4 also predate the metrics-overhead cell.
-        base.pop("metrics_overhead", None)
-    if base["schema"] not in (BENCH_SCHEMA, BENCH_SCHEMA_V5,
-                              BENCH_SCHEMA_V4):
-        # v1/v2/v3 also predate the shard-scaling section.
-        base.pop("shard_scaling", None)
-    if base["schema"] in (BENCH_SCHEMA_V1, BENCH_SCHEMA_V2):
-        # v1/v2 also predate the per-workload and kernel sections.
-        base.pop("workload_results", None)
-        base.pop("kernel", None)
     return base
 
 
@@ -179,134 +123,9 @@ class TestValidateBench:
         with pytest.raises(ValueError, match="workload_results"):
             validate_bench(bad)
 
-    def test_v2_accepted_without_v3_keys(self):
-        validate_bench(snapshot(schema=BENCH_SCHEMA_V2))
-
-    def test_v3_accepted_without_shard_scaling(self):
-        validate_bench(snapshot(schema=BENCH_SCHEMA_V3))
-
-    def test_v4_requires_shard_scaling(self):
-        bad = snapshot()
-        del bad["shard_scaling"]
-        with pytest.raises(ValueError, match="shard_scaling"):
-            validate_bench(bad)
-
-    def test_v4_accepted_without_metrics_overhead(self):
-        validate_bench(snapshot(schema=BENCH_SCHEMA_V4))
-
-    def test_v5_requires_metrics_overhead(self):
-        bad = snapshot(schema=BENCH_SCHEMA_V5)
-        del bad["metrics_overhead"]
-        with pytest.raises(ValueError, match="metrics_overhead"):
-            validate_bench(bad)
-
-    def test_v5_accepted_without_scheduler(self):
-        validate_bench(snapshot(schema=BENCH_SCHEMA_V5))
-
-    def test_v6_requires_scheduler(self):
-        bad = snapshot()
-        del bad["scheduler"]
-        with pytest.raises(ValueError, match="scheduler"):
-            validate_bench(bad)
-
-
-class TestMigrateBench:
-    def test_current_schema_returned_as_copy(self):
-        original = snapshot()
-        migrated = migrate_bench(original)
-        assert migrated == original
-        assert migrated is not original
-
-    def test_v5_gains_null_scheduler(self):
-        migrated = migrate_bench(snapshot(schema=BENCH_SCHEMA_V5))
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V5
-        assert migrated["scheduler"] is None
-        # v5 sections survive the hop untouched.
-        assert migrated["metrics_overhead"]["workload"] == "websearch"
-        assert migrated["shard_scaling"]["disks"] == 16
-
-    def test_v4_gains_null_metrics_overhead(self):
-        migrated = migrate_bench(snapshot(schema=BENCH_SCHEMA_V4))
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V4
-        assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
-        # v4 sections survive the hop untouched.
-        assert migrated["shard_scaling"]["disks"] == 16
-
-    def test_v3_gains_null_shard_scaling(self):
-        migrated = migrate_bench(snapshot(schema=BENCH_SCHEMA_V3))
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V3
-        assert migrated["shard_scaling"] is None
-        assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
-        # v3 sections survive the hop untouched.
-        assert migrated["kernel"]["processes"] == 50
-        assert migrated["workload_results"]
-
-    def test_v2_gains_empty_workload_and_kernel_sections(self):
-        migrated = migrate_bench(snapshot(schema=BENCH_SCHEMA_V2))
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V2
-        assert migrated["workload_results"] == []
-        assert migrated["kernel"] is None
-        assert migrated["shard_scaling"] is None
-
-    def test_v1_chains_through_every_version_to_current(self):
-        v1 = snapshot(
-            schema=BENCH_SCHEMA_V1,
-            cpu_count=2,
-            results=[
-                {"workers": 1, "wall_s": 2.0, "events_per_s": 500.0,
-                 "speedup_vs_serial": 1.0},
-                {"workers": 8, "wall_s": 3.0, "events_per_s": 300.0,
-                 "speedup_vs_serial": 0.7},
-            ],
-        )
-        migrated = migrate_bench(v1)
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V1
-        assert migrated["results"][1]["skipped"] is True
-        assert migrated["workload_results"] == []
-        assert migrated["kernel"] is None
-        assert migrated["shard_scaling"] is None
-        assert migrated["metrics_overhead"] is None
-        assert migrated["scheduler"] is None
-
-    def test_v1_oversubscribed_entries_demoted(self):
-        v1 = snapshot(
-            schema=BENCH_SCHEMA_V1,
-            cpu_count=2,
-            results=[
-                {"workers": 1, "wall_s": 2.0, "events_per_s": 500.0,
-                 "speedup_vs_serial": 1.0},
-                {"workers": 8, "wall_s": 3.0, "events_per_s": 300.0,
-                 "speedup_vs_serial": 0.7},
-            ],
-        )
-        migrated = migrate_bench(v1)
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["migrated_from"] == BENCH_SCHEMA_V1
-        serial, demoted = migrated["results"]
-        assert serial["events_per_s"] == 500.0
-        assert demoted["skipped"] is True
-        assert demoted["workers"] == 8
-        assert "cpu_count=2" in demoted["reason"]
-        assert "wall_s" not in demoted
-
-    def test_v1_within_cpu_budget_kept(self):
-        v1 = snapshot(
-            schema=BENCH_SCHEMA_V1,
-            cpu_count=4,
-            results=[
-                {"workers": 2, "wall_s": 1.0, "events_per_s": 100.0,
-                 "speedup_vs_serial": 1.5}
-            ],
-        )
-        migrated = migrate_bench(v1)
-        assert migrated["results"][0]["events_per_s"] == 100.0
+    def test_older_schema_asks_for_a_rerecording(self):
+        with pytest.raises(ValueError, match="re-record"):
+            validate_bench(snapshot(schema="repro-bench/6"))
 
 
 class TestLoadBench:
@@ -325,13 +144,6 @@ class TestLoadBench:
         path.write_text(json.dumps(snapshot(schema="repro-bench/0")))
         with pytest.raises(ValueError, match="old.json"):
             load_bench(str(path))
-
-    def test_v1_loaded_migrated(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(snapshot(schema=BENCH_SCHEMA_V1)))
-        loaded = load_bench(str(path))
-        assert loaded["schema"] == BENCH_SCHEMA
-        assert loaded["migrated_from"] == BENCH_SCHEMA_V1
 
 
 class TestCompareBench:
@@ -359,41 +171,6 @@ class TestCompareBench:
             snapshot(), snapshot(figures_identical=False)
         )
         assert any("determinism" in p for p in result.problems)
-
-    def test_shard_figures_not_identical_fails(self):
-        broken = snapshot(
-            shard_scaling=shard_scaling(figures_identical=False)
-        )
-        result = compare_bench(snapshot(), broken)
-        assert not result.ok
-        assert any("bit-identity" in p for p in result.problems)
-
-    def test_shard_cell_digest_mismatch_fails(self):
-        drifted = snapshot(
-            shard_scaling=shard_scaling(figures_sha256="d" * 64)
-        )
-        result = compare_bench(snapshot(), drifted)
-        assert not result.ok
-        assert any(
-            "shard-scaling cell digest mismatch" in p
-            for p in result.problems
-        )
-
-    def test_shard_digest_skipped_for_different_cell(self):
-        smaller = snapshot(
-            shard_scaling=shard_scaling(
-                requests=400, figures_sha256="d" * 64
-            )
-        )
-        result = compare_bench(snapshot(), smaller)
-        assert result.ok
-
-    def test_pre_v4_baseline_skips_shard_digest_with_note(self):
-        result = compare_bench(
-            snapshot(schema=BENCH_SCHEMA_V3), snapshot()
-        )
-        assert result.ok
-        assert any("predates repro-bench/4" in n for n in result.notes)
 
     def test_different_requests_skips_digest(self):
         current = snapshot(
@@ -445,12 +222,10 @@ class TestCompareBench:
         result = compare_bench(snapshot(), {})
         assert any("current run invalid" in p for p in result.problems)
 
-    def test_v1_baseline_migrated_and_noted(self):
-        result = compare_bench(
-            snapshot(schema=BENCH_SCHEMA_V1), snapshot()
-        )
-        assert result.ok
-        assert any("migrated from" in n for n in result.notes)
+    def test_older_baseline_is_a_problem(self):
+        result = compare_bench(snapshot(schema="repro-bench/6"), snapshot())
+        assert not result.ok
+        assert any("re-record" in p for p in result.problems)
 
     def test_platform_difference_noted(self):
         result = compare_bench(snapshot(), snapshot(platform="other"))
@@ -496,13 +271,6 @@ class TestCompareBench:
     def test_kernel_throughput_noted(self):
         result = compare_bench(snapshot(), snapshot())
         assert any("kernel microbench" in n for n in result.notes)
-
-    def test_kernel_note_absent_for_migrated_baseline(self):
-        result = compare_bench(
-            snapshot(schema=BENCH_SCHEMA_V2), snapshot()
-        )
-        assert result.ok
-        assert not any("kernel microbench" in n for n in result.notes)
 
     def test_empty_checkresult_is_ok(self):
         assert CheckResult().ok
