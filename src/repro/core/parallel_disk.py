@@ -105,6 +105,22 @@ class ParallelDisk(ConventionalDrive):
         self.preposition_idle_arms = True
         #: Count of background repositioning moves performed.
         self.repositions = 0
+        if self.tracer.enabled:
+            # Bind the per-arm series once: the traced service path
+            # increments them without a registry lookup.
+            counter = self.tracer.telemetry.counter
+            selections = counter(
+                "repro_arm_selections_total",
+                "SPTF arm choices per arm assembly",
+                labels=("arm",),
+            )
+            self._arm_selections = [
+                selections.labels(arm=arm.arm_id) for arm in self.arms
+            ]
+            self._repositions_counter = counter(
+                "repro_arm_repositions_total",
+                "Background repositioning moves of idle arms",
+            ).labels()
 
     # -- arm selection ------------------------------------------------------
     @property
@@ -261,7 +277,7 @@ class ParallelDisk(ConventionalDrive):
                 (self.label, f"arm {farthest.arm_id}"),
                 args={"to_cylinder": target_cylinder},
             )
-            self.tracer.telemetry.counter("arms.repositions").inc()
+            self._repositions_counter.inc()
 
     # -- service ------------------------------------------------------------
     def _service_media(self, request: IORequest, overhead: float):
@@ -303,9 +319,7 @@ class ParallelDisk(ConventionalDrive):
                     ),
                 },
             )
-            self.tracer.telemetry.counter(
-                f"arms.selected.{arm.arm_id}"
-            ).inc()
+            self._arm_selections[arm.arm_id].inc()
         self._preposition(arm, cylinder)
 
         # Seek, rotation (estimated at decision time for the instant the
@@ -437,10 +451,13 @@ class ParallelDisk(ConventionalDrive):
                     "healthy_remaining": self.healthy_arm_count,
                 },
             )
-            self.tracer.telemetry.counter("arms.deconfigured").inc()
-            self.tracer.telemetry.gauge("arms.healthy").set(
-                self.healthy_arm_count
-            )
+            telemetry = self.tracer.telemetry
+            telemetry.counter(
+                "repro_arms_deconfigured_total", "Arm assemblies deconfigured"
+            ).inc()
+            telemetry.gauge(
+                "repro_arms_healthy", "Arm assemblies still in service"
+            ).set(self.healthy_arm_count)
 
     # -- diagnostics ----------------------------------------------------------
     def arm_report(self) -> List[dict]:

@@ -279,7 +279,9 @@ class ConventionalDrive:
             )
         self._armed_faults.append(ArmedMediaFault(attempts=attempts, lba=lba))
         if self.tracer.enabled:
-            self.tracer.telemetry.counter("faults.armed").inc()
+            self.tracer.telemetry.counter(
+                "repro_faults_armed_total", "Media faults armed on a drive"
+            ).inc()
 
     def _media_retry_penalty(self, request: IORequest) -> float:
         """Consume an armed fault hitting ``request``; returns the
@@ -316,10 +318,17 @@ class ConventionalDrive:
             self.stats.unrecovered_errors += 1
         if self.tracer.enabled:
             telemetry = self.tracer.telemetry
-            telemetry.counter("faults.media_errors").inc()
-            telemetry.counter("faults.retries").inc(retries)
+            telemetry.counter(
+                "repro_faults_media_errors_total", "Armed faults hit"
+            ).inc()
+            telemetry.counter(
+                "repro_faults_retries_total", "Re-read revolutions spent"
+            ).inc(retries)
             if unrecovered:
-                telemetry.counter("faults.unrecovered").inc()
+                telemetry.counter(
+                    "repro_faults_unrecovered_total",
+                    "Media errors beyond the retry budget",
+                ).inc()
         return penalty
 
     def positioning_estimate(self, request: IORequest) -> float:
@@ -359,17 +368,24 @@ class ConventionalDrive:
         return context
 
     def _wire_cache_telemetry(self) -> None:
-        """Route cache events into the tracer's telemetry registry."""
-        telemetry = self.tracer.telemetry
-        hits = telemetry.counter("cache.read_hits")
-        misses = telemetry.counter("cache.read_misses")
-        installs = telemetry.counter("cache.write_installs")
-        invalidations = telemetry.counter("cache.invalidations")
+        """Route cache events into the tracer's telemetry registry
+        (each series bound once, here)."""
+        counter = self.tracer.telemetry.counter
         by_kind = {
-            "hit": hits,
-            "miss": misses,
-            "install_write": installs,
-            "invalidate": invalidations,
+            "hit": counter(
+                "repro_cache_read_hits_total", "Drive cache read hits"
+            ).labels(),
+            "miss": counter(
+                "repro_cache_read_misses_total", "Drive cache read misses"
+            ).labels(),
+            "install_write": counter(
+                "repro_cache_write_installs_total",
+                "Writes installed in the drive cache",
+            ).labels(),
+            "invalidate": counter(
+                "repro_cache_invalidations_total",
+                "Drive cache segments invalidated",
+            ).labels(),
         }
 
         def listener(kind: str, lba: int, size: int) -> None:

@@ -202,13 +202,7 @@ def run_trace(
                 args={"requests": len(fresh), "elapsed_ms": env.now},
             )
     if tracer.enabled:
-        telemetry = tracer.telemetry
-        telemetry.counter("runs.completed").inc()
-        telemetry.stats("run.elapsed_ms").add(env.now)
-        if collector.completed:
-            telemetry.stats("run.mean_response_ms").add(
-                collector.mean_response_ms
-            )
+        _record_run_telemetry(tracer.telemetry, env, collector, "memory")
     if metrics.enabled:
         # Wall-clock only — never simulated time — so figures stay
         # bit-identical with metrics on or off.
@@ -233,6 +227,29 @@ def run_trace(
         elapsed_ms=elapsed,
         requests=len(fresh),
     )
+
+
+#: Bucket bounds for a whole run's simulated span (ms).
+_RUN_ELAPSED_BUCKETS_MS = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+
+
+def _record_run_telemetry(
+    telemetry, env: Environment, collector: RequestCollector, mode: str
+) -> None:
+    """Run-level counters and simulated-time histograms for a tracer."""
+    telemetry.counter(
+        "repro_sim_runs_total", "Traced replays", labels=("mode",)
+    ).labels(mode=mode).inc()
+    telemetry.histogram(
+        "repro_run_elapsed_ms",
+        "Simulated span of one replay",
+        buckets=_RUN_ELAPSED_BUCKETS_MS,
+    ).observe(env.now)
+    if collector.completed:
+        telemetry.histogram(
+            "repro_run_mean_response_ms",
+            "Mean simulated response time of one replay",
+        ).observe(collector.mean_response_ms)
 
 
 def _run_trace_streaming(
@@ -326,14 +343,7 @@ def _run_trace_streaming(
     if progress_state is not None and progress_state["chunk"].completed:
         _flush_chunk(progress_state, on_chunk, env)
     if tracer.enabled:
-        telemetry = tracer.telemetry
-        telemetry.counter("runs.completed").inc()
-        telemetry.counter("runs.streamed").inc()
-        telemetry.stats("run.elapsed_ms").add(env.now)
-        if collector.completed:
-            telemetry.stats("run.mean_response_ms").add(
-                collector.mean_response_ms
-            )
+        _record_run_telemetry(tracer.telemetry, env, collector, "streamed")
     if metrics.enabled:
         # Wall-clock only, measured after the run: replay throughput
         # and chunking shape, with zero work on the simulated path.

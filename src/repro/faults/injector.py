@@ -129,8 +129,10 @@ class FaultInjector:
                     args=event.to_dict(),
                 )
                 self.tracer.telemetry.counter(
-                    f"faults.injected.{event.kind}"
-                ).inc()
+                    "repro_faults_injected_total",
+                    "Fault-plan events applied",
+                    labels=("kind",),
+                ).labels(kind=event.kind).inc()
         else:
             self._skip(event, reason)
 
@@ -142,7 +144,9 @@ class FaultInjector:
             )
         self.skipped.append((event, reason))
         if self.tracer.enabled:
-            self.tracer.telemetry.counter("faults.skipped").inc()
+            self.tracer.telemetry.counter(
+                "repro_faults_skipped_total", "Fault-plan events skipped"
+            ).inc()
 
     # -- application --------------------------------------------------------
     def _targets(self) -> List:

@@ -5,24 +5,21 @@ of response time (queue vs. seek vs. rotational latency vs. transfer,
 §7.1–§7.2) directly visible from a single run instead of being
 inferred from aggregate histograms after the fact.
 
-Five pieces:
+Four pieces:
 
 * :class:`~repro.obs.tracer.Tracer` — a low-overhead span recorder
   with per-request, per-drive and per-arm attribution.  The default
   everywhere is the zero-cost :class:`~repro.obs.tracer.NullTracer`,
   so untraced runs execute the exact same arithmetic (figures are
   bit-identical with tracing on or off).
-* :class:`~repro.obs.registry.TelemetryRegistry` — counters, gauges
-  and distribution collectors built on
-  :class:`~repro.sim.stats.OnlineStats` /
-  :class:`~repro.sim.stats.BucketHistogram`, mergeable across worker
-  processes.
-* :class:`~repro.obs.metrics.MetricsRegistry` — *live* operational
-  metrics (Prometheus-style counters / gauges / fixed-bucket
-  histograms with labeled families), a zero-cost
+* :class:`~repro.obs.metrics.MetricsRegistry` — the one metrics
+  registry: Prometheus-style counters / gauges / fixed-bucket
+  histograms with labeled families, a zero-cost
   :data:`~repro.obs.metrics.NULL_METRICS` default, text-exposition
-  and JSONL exporters, and atomic per-worker snapshot files merged
-  across serve processes (``python -m repro metrics [--watch]``).
+  and JSONL exporters, and an exact snapshot merge.  It holds a
+  tracer's run telemetry (:attr:`Tracer.telemetry`) as well as the
+  live serve metrics, whose atomic per-worker snapshot files merge
+  across processes (``python -m repro metrics [--watch]``).
 * Exporters — Chrome trace-event / Perfetto JSON
   (:func:`~repro.obs.export.write_chrome_trace`) and a JSONL span log
   (:func:`~repro.obs.export.write_span_jsonl`), so a limit-study run
@@ -69,7 +66,6 @@ from repro.obs.metrics import (
     write_worker_snapshot,
 )
 from repro.obs.report import render_html, render_text, write_html_report
-from repro.obs.registry import NULL_REGISTRY, TelemetryRegistry
 from repro.obs.tracer import (
     NULL_TRACER,
     PHASES,
@@ -84,7 +80,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "NULL_METRICS",
-    "NULL_REGISTRY",
     "NULL_TRACER",
     "PHASES",
     "Counter",
@@ -95,7 +90,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "TelemetryRegistry",
     "TraceAnalysis",
     "analyze",
     "append_snapshot_jsonl",

@@ -155,8 +155,8 @@ def read_chrome_trace(path: str):
     The inverse of :func:`write_chrome_trace`, for post-hoc analysis
     (``python -m repro report --from-trace``): metadata events restore
     the ``(process, thread)`` track names, ``X``/``i`` events become
-    spans/instants, and the embedded telemetry snapshot is merged into
-    the tracer's registry.
+    spans/instants, and the embedded ``repro-metrics/1`` telemetry
+    snapshot (if any) is merged into the tracer's registry.
 
     Round-trip caveat: exported timestamps are ms × 1000 (trace-event
     µs), so reloaded ``ts``/``dur`` values can differ from the
@@ -201,7 +201,8 @@ def read_chrome_trace(path: str):
         )
         tracer.spans.append(span)
     other = trace.get("otherData", {})
-    tracer.telemetry.merge_snapshot(other.get("telemetry", {}))
+    if other.get("telemetry"):
+        tracer.telemetry.merge_snapshot(other["telemetry"])
     tracer.dropped_spans = other.get("dropped_spans", 0)
     return tracer
 

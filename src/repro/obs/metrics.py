@@ -605,6 +605,14 @@ _SAMPLE_RE = re.compile(
 _LABEL_PAIR_RE = re.compile(
     r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"'
 )
+_LABEL_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _unescape(match: "re.Match") -> str:
+    """One escape sequence of a label value, decoded in a single pass
+    so an escaped backslash never pairs with the character after it."""
+    char = match.group(1)
+    return "\n" if char == "n" else char
 
 
 def parse_prometheus(
@@ -624,16 +632,12 @@ def parse_prometheus(
         match = _SAMPLE_RE.match(line)
         if not match:
             raise ValueError(f"unparseable exposition line: {raw!r}")
-        labels = []
-        for name, value in _LABEL_PAIR_RE.findall(match.group("labels") or ""):
-            labels.append(
-                (
-                    name,
-                    value.replace("\\n", "\n")
-                    .replace('\\"', '"')
-                    .replace("\\\\", "\\"),
-                )
+        labels = [
+            (name, _LABEL_ESCAPE_RE.sub(_unescape, value))
+            for name, value in _LABEL_PAIR_RE.findall(
+                match.group("labels") or ""
             )
+        ]
         value_text = match.group("value")
         value = math.inf if value_text == "+Inf" else float(value_text)
         samples[(match.group("name"), tuple(sorted(labels)))] = value

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.report import format_table, hbar
 from repro.obs.analysis import TraceAnalysis
+from repro.obs.metrics import _fmt
 
 __all__ = [
     "render_html",
@@ -216,21 +217,22 @@ def render_text(
 
 
 def _telemetry_lines(analysis: TraceAnalysis) -> List[str]:
+    """One line per series of the ``repro-metrics/1`` telemetry
+    snapshot: counters and gauges with their value, histograms with
+    their observation count and mean."""
     lines = []
-    counters = analysis.telemetry.get("counters", {})
-    for name in sorted(counters):
-        lines.append(f"counter {name} = {counters[name]}")
-    gauges = analysis.telemetry.get("gauges", {})
-    for name in sorted(gauges):
-        lines.append(f"gauge {name} = {gauges[name]:g}")
-    stats = analysis.telemetry.get("stats", {})
-    for name in sorted(stats):
-        payload = stats[name]
-        lines.append(
-            f"stats {name}: n={payload['count']} "
-            f"mean={payload['mean']:.3f} min={payload['min']:.3f} "
-            f"max={payload['max']:.3f}"
-        )
+    families = analysis.telemetry.get("families", {})
+    for name, entry in sorted(families.items()):
+        kind = entry["kind"]
+        for item in entry["series"]:
+            labels = ",".join(f"{k}={v}" for k, v in item["labels"].items())
+            series = f"{name}{{{labels}}}" if labels else name
+            if kind == "histogram":
+                count = item["count"]
+                mean = item["sum"] / count if count else 0.0
+                lines.append(f"{kind} {series}: n={count} mean={mean:.3f}")
+            else:
+                lines.append(f"{kind} {series} = {_fmt(item['value'])}")
     return lines
 
 

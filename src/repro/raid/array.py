@@ -264,7 +264,8 @@ class DiskArray:
                         },
                     )
                     self.tracer.telemetry.counter(
-                        "array.degraded_requests"
+                        "repro_array_degraded_requests_total",
+                        "Requests mapped around a failed drive",
                     ).inc()
                 return slices
             raise RuntimeError(
@@ -304,7 +305,9 @@ class DiskArray:
                 (self.label, "faults"),
                 args={"drive": index, "outstanding": len(self._outstanding)},
             )
-            self.tracer.telemetry.counter("array.drive_failures").inc()
+            self.tracer.telemetry.counter(
+                "repro_array_drive_failures_total", "Member drives failed"
+            ).inc()
         from repro.raid.layout import Raid5Layout
 
         if not isinstance(self.layout, Raid5Layout):
@@ -337,7 +340,8 @@ class DiskArray:
         self.aborted_requests += len(aborted)
         if self.tracer.enabled and aborted:
             self.tracer.telemetry.counter(
-                "array.aborted_requests"
+                "repro_array_aborted_requests_total",
+                "Outstanding requests aborted by a drive failure",
             ).inc(len(aborted))
 
     def degraded_time_ms(self, now: Optional[float] = None) -> float:
@@ -386,7 +390,9 @@ class DiskArray:
                 (self.label, "rebuild"),
                 args={"failed_disk": self._failed_disk},
             )
-            self.tracer.telemetry.counter("rebuild.started").inc()
+            self.tracer.telemetry.counter(
+                "repro_rebuild_started_total", "Rebuilds started"
+            ).inc()
         return self.env.process(self._rebuild_wrapper(replacement))
 
     def _rebuild_wrapper(self, replacement: ConventionalDrive):
@@ -451,10 +457,12 @@ class DiskArray:
                     track,
                     args={"row": row, "progress": self.rebuild_progress},
                 )
-                tracer.telemetry.counter("rebuild.rows").inc()
-                tracer.telemetry.gauge("rebuild.progress").set(
-                    self.rebuild_progress
-                )
+                tracer.telemetry.counter(
+                    "repro_rebuild_rows_total", "Stripe rows rebuilt"
+                ).inc()
+                tracer.telemetry.gauge(
+                    "repro_rebuild_progress", "Rebuilt fraction of the drive"
+                ).set(self.rebuild_progress)
         self.drives[failed] = replacement
         self._failed_disk = None
         self.rebuild_finished_ms = self.env.now
@@ -471,7 +479,9 @@ class DiskArray:
                     "window_ms": self.rebuild_window_ms,
                 },
             )
-            tracer.telemetry.gauge("array.degraded_ms").set(self.degraded_ms)
+            tracer.telemetry.gauge(
+                "repro_array_degraded_ms", "Simulated degraded-mode residency"
+            ).set(self.degraded_ms)
 
     def _run(self, request: IORequest, slices: List[Slice], completion: Event):
         phases = sorted({piece.phase for piece in slices})
@@ -564,7 +574,8 @@ class DiskArray:
             self.unrecovered_requests += 1
             if self.tracer.enabled:
                 self.tracer.telemetry.counter(
-                    "array.unrecovered_requests"
+                    "repro_array_unrecovered_requests_total",
+                    "Logical requests left with a media error",
                 ).inc()
         self.requests_completed += 1
         self._outstanding.pop(request.request_id, None)
@@ -614,7 +625,8 @@ class DiskArray:
                             },
                         )
                         self.tracer.telemetry.counter(
-                            "array.deadline_misses"
+                            "repro_array_deadline_misses_total",
+                            "Slice attempts past the retry timeout",
                         ).inc()
                     yield event
             else:
@@ -635,7 +647,9 @@ class DiskArray:
                         "attempt": attempt,
                     },
                 )
-                self.tracer.telemetry.counter("array.slice_retries").inc()
+                self.tracer.telemetry.counter(
+                    "repro_array_slice_retries_total", "Slice re-issues"
+                ).inc()
             if policy.backoff_ms > 0.0:
                 yield self.env.timeout(policy.backoff_ms * (attempt - 1))
 

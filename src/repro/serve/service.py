@@ -9,8 +9,8 @@ The flow, end to end:
    worker claims jobs atomically, consults the result cache first — a
    duplicate submission is acked as a **cache hit** without
    simulating — and otherwise runs the simulation, stores the
-   canonical payload, and acks with per-job telemetry (wall time,
-   chunk count, a telemetry registry snapshot).
+   canonical payload, and acks with the job's wall time, request and
+   chunk counts.
 3. ``result`` reads a finished job's payload back from the cache via
    the cache key recorded in its outcome.
 
@@ -43,14 +43,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.failpoints import current_failpoints
 from repro.obs.metrics import (
-    NULL_METRICS,
     MetricsRegistry,
     current_metrics,
     merge_worker_snapshots,
     set_current_metrics,
     write_worker_snapshot,
 )
-from repro.obs.registry import TelemetryRegistry
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobSpec,
@@ -187,18 +185,22 @@ def worker_loop(
     durable: bool = True,
     handle_signals: bool = False,
 ) -> Dict:
-    """Claim-and-run until stopped; returns this worker's telemetry.
+    """Claim-and-run until stopped; returns this worker's metrics.
 
     ``drain=True`` exits when no pending work remains (the CI/batch
     mode); otherwise the loop polls forever and is stopped by signal.
     ``max_jobs`` bounds the number of jobs this worker processes.
 
-    ``metrics=True`` gives the worker a live :class:`MetricsRegistry`
-    (installed as ambient for the duration, so replay
-    instrumentation lands in it too) and writes it atomically to
-    ``<queue>/metrics/`` after every job and at least every
-    ``heartbeat_interval_s`` seconds — the snapshot files a
-    ``repro metrics``/``status --metrics`` reader merges.
+    The worker counts every job event (cache hits and misses,
+    completions, errors, lost leases, releases, quarantines) once, in
+    its own :class:`MetricsRegistry`; the return value is that
+    registry's ``repro-metrics/1`` snapshot plus ``worker`` and
+    ``processed``.  ``metrics=True`` additionally installs the
+    registry as ambient for the duration (so replay instrumentation
+    lands in it too) and writes it atomically to ``<queue>/metrics/``
+    after every job and at least every ``heartbeat_interval_s``
+    seconds — the snapshot files a ``repro metrics``/``status
+    --metrics`` reader merges.
 
     ``handle_signals=True`` (what ``serve`` passes its children)
     installs SIGTERM/SIGINT handlers that drain gracefully: the
@@ -214,12 +216,11 @@ def worker_loop(
         durable=durable,
     )
     cache = ResultCache(_cache_root(queue_dir, cache_dir))
-    telemetry = TelemetryRegistry()
     worker_name = owner or f"worker-{os.getpid()}"
     failpoints = current_failpoints()
     if failpoints.enabled:
         failpoints.bind_worker(worker_name)
-    registry: object = MetricsRegistry() if metrics else NULL_METRICS
+    registry = MetricsRegistry()
     last_beat = 0.0
     in_flight = {"job_id": None}
 
@@ -237,6 +238,8 @@ def worker_loop(
 
     def beat(force: bool = False) -> None:
         nonlocal last_beat
+        if not metrics:
+            return
         now = time.time()
         if not force and now - last_beat < heartbeat_interval_s:
             return
@@ -256,91 +259,67 @@ def worker_loop(
         last_beat = now
 
     def count_quarantined() -> None:
-        if not queue.last_quarantined:
-            return
-        telemetry.counter("jobs.quarantined").inc(
-            len(queue.last_quarantined)
-        )
-        if registry.enabled:
-            registry.counter(
-                "repro_records_quarantined_total",
+        if queue.last_quarantined:
+            _count(
+                registry, worker_name, "repro_records_quarantined_total",
                 "Torn/tampered queue records moved to corrupt/",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc(
-                len(queue.last_quarantined)
+                len(queue.last_quarantined),
             )
 
     processed = 0
     previous_ambient = None
-    if registry.enabled:
+    if metrics:
         previous_ambient = set_current_metrics(registry)
         beat(force=True)
     try:
         while True:
             requeued = queue.requeue_stale()
             count_quarantined()
-            if registry.enabled and (
-                requeued or queue.last_requeue_failed
-            ):
-                if requeued:
-                    registry.counter(
-                        "repro_jobs_requeued_total",
-                        "Stale claims returned to pending",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc(len(requeued))
-                if queue.last_requeue_failed:
-                    registry.counter(
-                        "repro_jobs_failed_out_total",
-                        "Jobs that exhausted max_attempts on requeue",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc(
-                        len(queue.last_requeue_failed)
-                    )
-            if registry.enabled:
-                claim_started = time.perf_counter()
+            if requeued:
+                _count(
+                    registry, worker_name, "repro_jobs_requeued_total",
+                    "Stale claims returned to pending", len(requeued),
+                )
+            if queue.last_requeue_failed:
+                _count(
+                    registry, worker_name, "repro_jobs_failed_out_total",
+                    "Jobs that exhausted max_attempts on requeue",
+                    len(queue.last_requeue_failed),
+                )
+            claim_started = time.perf_counter()
             record = queue.claim(owner=worker_name)
             count_quarantined()
-            if registry.enabled:
-                registry.histogram(
-                    "repro_claim_latency_ms",
-                    "Wall-clock latency of one claim attempt",
-                    labels=("worker",),
-                ).labels(worker=worker_name).observe(
-                    (time.perf_counter() - claim_started) * 1000.0
-                )
+            registry.histogram(
+                "repro_claim_latency_ms",
+                "Wall-clock latency of one claim attempt",
+                labels=("worker",),
+            ).labels(worker=worker_name).observe(
+                (time.perf_counter() - claim_started) * 1000.0
+            )
             if record is None:
                 if drain:
                     break
-                if registry.enabled:
-                    beat()
+                beat()
                 time.sleep(poll_interval_s)
                 continue
-            if registry.enabled:
-                registry.counter(
-                    "repro_job_attempts_total",
-                    "Claims processed (retries of one job each count)",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
-            in_flight["job_id"] = record["job_id"]
-            _process_one(
-                record, queue, cache, telemetry, worker_name, registry
+            _count(
+                registry, worker_name, "repro_job_attempts_total",
+                "Claims processed (retries of one job each count)",
             )
+            in_flight["job_id"] = record["job_id"]
+            _process_one(record, queue, cache, worker_name, registry)
             in_flight["job_id"] = None
             processed += 1
-            if registry.enabled:
-                beat(force=True)
+            beat(force=True)
             if max_jobs is not None and processed >= max_jobs:
                 break
     except GracefulShutdown:
         job_id = in_flight["job_id"]
         if job_id is not None and queue.release(job_id):
-            telemetry.counter("jobs.released").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_jobs_released_total",
-                    "In-flight jobs released on graceful shutdown",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
+            _count(
+                registry, worker_name, "repro_jobs_released_total",
+                "In-flight jobs released on graceful shutdown",
+            )
         count_quarantined()
     finally:
         if handle_signals:
@@ -349,26 +328,37 @@ def worker_loop(
                     signal.signal(signum, handler)
                 except (ValueError, TypeError):
                     pass
-        if registry.enabled:
+        if metrics:
             beat(force=True)
             set_current_metrics(previous_ambient)
-    snapshot = telemetry.snapshot()
+    snapshot = registry.snapshot()
     snapshot["worker"] = worker_name
     snapshot["processed"] = processed
     return snapshot
+
+
+def _count(
+    registry: MetricsRegistry,
+    worker_name: str,
+    name: str,
+    help: str,
+    amount: float = 1,
+) -> None:
+    """Add ``amount`` to this worker's series of counter ``name``."""
+    registry.counter(name, help, labels=("worker",)).labels(
+        worker=worker_name
+    ).inc(amount)
 
 
 def _process_one(
     record: Dict,
     queue: JobQueue,
     cache: ResultCache,
-    telemetry: TelemetryRegistry,
     worker_name: str,
-    registry: object = NULL_METRICS,
+    registry: MetricsRegistry,
 ) -> None:
     job_id = record["job_id"]
     started = time.time()
-    job_telemetry = TelemetryRegistry()
     failpoints = current_failpoints()
     try:
         if failpoints.enabled:
@@ -383,21 +373,15 @@ def _process_one(
             if problem is not None:
                 cache.quarantine(key, problem)
                 cached = None
-                telemetry.counter("jobs.cache_corrupt").inc()
-                if registry.enabled:
-                    registry.counter(
-                        "repro_cache_corrupt_total",
-                        "Cached payloads quarantined at hit time",
-                        labels=("worker",),
-                    ).labels(worker=worker_name).inc()
+                _count(
+                    registry, worker_name, "repro_cache_corrupt_total",
+                    "Cached payloads quarantined at hit time",
+                )
         if cached is not None:
-            telemetry.counter("jobs.cache_hits").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_cache_hits_total",
-                    "Jobs answered from the result cache",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
+            _count(
+                registry, worker_name, "repro_cache_hits_total",
+                "Jobs answered from the result cache",
+            )
             payload = json.loads(cached.decode("ascii"))
             outcome = {
                 "status": "done",
@@ -408,72 +392,53 @@ def _process_one(
                 "wall_s": time.time() - started,
             }
         else:
-            telemetry.counter("jobs.cache_misses").inc()
-            if registry.enabled:
-                registry.counter(
-                    "repro_cache_misses_total",
-                    "Jobs that had to be simulated",
-                    labels=("worker",),
-                ).labels(worker=worker_name).inc()
+            _count(
+                registry, worker_name, "repro_cache_misses_total",
+                "Jobs that had to be simulated",
+            )
+            chunk_means = registry.histogram(
+                "repro_replay_chunk_mean_response_ms",
+                "Mean simulated response time of one replayed chunk",
+                labels=("worker",),
+            ).labels(worker=worker_name)
 
             def on_chunk(progress):
-                job_telemetry.counter("replay.chunks").inc()
-                job_telemetry.stats("replay.chunk_mean_response_ms").add(
-                    progress.chunk.mean_response_ms
-                )
+                chunk_means.observe(progress.chunk.mean_response_ms)
 
             payload, stats = run_job(spec, on_chunk=on_chunk)
             cache.put(key, result_payload_bytes(payload))
-            wall = time.time() - started
-            job_telemetry.counter("replay.requests").inc(
-                stats["completed"]
-            )
-            job_telemetry.stats("job.wall_s").add(wall)
             outcome = {
                 "status": "done",
                 "cached": False,
                 "cache_key": key,
                 "figures_sha256": payload["figures_sha256"],
                 "worker": worker_name,
-                "wall_s": wall,
+                "wall_s": time.time() - started,
                 "requests": stats["completed"],
                 "chunks": stats["chunks"],
-                "telemetry": job_telemetry.snapshot(),
             }
         if failpoints.enabled:
             failpoints.hit("service.job.before_ack")
-        _ack_safely(
-            queue, telemetry, job_id, outcome, "done",
-            registry=registry, worker_name=worker_name,
+        _ack_safely(queue, job_id, outcome, "done", registry, worker_name)
+        _count(
+            registry, worker_name, "repro_jobs_completed_total",
+            "Jobs acked done (cache hits included)",
         )
-        telemetry.counter("jobs.completed").inc()
-        wall = time.time() - started
-        telemetry.stats("job.wall_s").add(wall)
-        if registry.enabled:
-            registry.counter(
-                "repro_jobs_completed_total",
-                "Jobs acked done (cache hits included)",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
-            registry.histogram(
-                "repro_job_wall_ms",
-                "Wall-clock time from claim to ack",
-                labels=("worker", "cached"),
-            ).labels(
-                worker=worker_name,
-                cached="yes" if outcome["cached"] else "no",
-            ).observe(wall * 1000.0)
+        registry.histogram(
+            "repro_job_wall_ms",
+            "Wall-clock time from claim to ack",
+            labels=("worker", "cached"),
+        ).labels(
+            worker=worker_name,
+            cached="yes" if outcome["cached"] else "no",
+        ).observe((time.time() - started) * 1000.0)
     except Exception as error:  # noqa: BLE001 - worker must survive jobs
-        telemetry.counter("jobs.errors").inc()
-        if registry.enabled:
-            registry.counter(
-                "repro_jobs_failed_total",
-                "Jobs acked failed (the worker survived)",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
+        _count(
+            registry, worker_name, "repro_jobs_failed_total",
+            "Jobs acked failed (the worker survived)",
+        )
         _ack_safely(
             queue,
-            telemetry,
             job_id,
             {
                 "status": "failed",
@@ -482,14 +447,14 @@ def _process_one(
                 "wall_s": time.time() - started,
             },
             "failed",
-            registry=registry,
-            worker_name=worker_name,
+            registry,
+            worker_name,
         )
 
 
 def _ack_safely(
-    queue, telemetry, job_id, outcome, state,
-    registry: object = NULL_METRICS, worker_name: str = "",
+    queue, job_id, outcome, state, registry: MetricsRegistry,
+    worker_name: str,
 ) -> None:
     """Ack, tolerating a lease lost to requeue while the job ran.
 
@@ -501,13 +466,10 @@ def _ack_safely(
     try:
         queue.ack(job_id, outcome, state=state)
     except ValueError:
-        telemetry.counter("jobs.lost_leases").inc()
-        if registry.enabled:
-            registry.counter(
-                "repro_jobs_lost_leases_total",
-                "Acks dropped because the lease was re-claimed",
-                labels=("worker",),
-            ).labels(worker=worker_name).inc()
+        _count(
+            registry, worker_name, "repro_jobs_lost_leases_total",
+            "Acks dropped because the lease was re-claimed",
+        )
 
 
 def serve(

@@ -626,9 +626,15 @@ class Environment:
         if not tracer.enabled:
             return
         telemetry = tracer.telemetry
-        telemetry.counter("engine.runs").inc()
-        telemetry.counter("engine.events").inc(self._eid - eid_at_entry)
-        telemetry.gauge("engine.sim_time_ms").set(self._now)
+        telemetry.counter(
+            "repro_engine_runs_total", "Environment.run() calls"
+        ).inc()
+        telemetry.counter(
+            "repro_engine_events_total", "Engine events scheduled"
+        ).inc(self._eid - eid_at_entry)
+        telemetry.gauge(
+            "repro_engine_sim_time_ms", "Simulated clock at the last run end"
+        ).set(self._now)
 
 
 class _StopSignal(Exception):

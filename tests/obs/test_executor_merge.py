@@ -20,8 +20,8 @@ def traced_job(tag, count):
         tracer.span(
             "work", "transfer", float(index), 1.0, (tag, "worker")
         )
-    tracer.telemetry.counter("jobs.completed").inc()
-    tracer.telemetry.stats("job.count").add(count)
+    tracer.telemetry.counter("jobs_completed_total").inc()
+    tracer.telemetry.histogram("job_count", buckets=(1.0, 4.0)).observe(count)
     return f"{tag}:{count}"
 
 
@@ -38,7 +38,7 @@ class TestWorkerTelemetryMerge:
             results = sweep(JOBS, n_workers=1)
         assert results == ["alpha:3", "beta:2", "gamma:4"]
         assert len(tracer.spans) == 9
-        assert tracer.telemetry.counter("jobs.completed").value == 3
+        assert tracer.telemetry.counter("jobs_completed_total").value == 3
 
     def test_parallel_sweep_merges_in_job_order(self):
         with tracing() as tracer:
@@ -48,10 +48,11 @@ class TestWorkerTelemetryMerge:
         # Merge follows job order, not completion order.
         processes = [process for process, _ in tracer.tracks()]
         assert processes == ["alpha", "beta", "gamma"]
-        snapshot = tracer.telemetry.snapshot()
-        assert snapshot["counters"]["jobs.completed"] == 3
-        assert snapshot["stats"]["job.count"]["count"] == 3
-        assert snapshot["stats"]["job.count"]["total"] == 9
+        families = tracer.telemetry.snapshot()["families"]
+        assert families["jobs_completed_total"]["series"][0]["value"] == 3
+        (job_count,) = families["job_count"]["series"]
+        assert (job_count["count"], job_count["sum"]) == (3, 9)
+        assert job_count["counts"] == [0, 3, 0]
 
     def test_parallel_matches_serial_telemetry(self):
         with tracing() as serial:

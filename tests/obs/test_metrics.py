@@ -237,9 +237,17 @@ class TestPrometheus:
             "repro_jobs_total", labels=("worker",)
         ).labels(worker="w0").inc(5)
         registry.gauge("repro_depth").set(2.5)
+        awkward = ("C:\\new", 'a"b\\c\nd')
+        for index, worker in enumerate(awkward, start=1):
+            registry.counter(
+                "repro_jobs_total", labels=("worker",)
+            ).labels(worker=worker).inc(index)
         parsed = parse_prometheus(render_prometheus(registry))
         assert parsed[("repro_jobs_total", (("worker", "w0"),))] == 5.0
         assert parsed[("repro_depth", ())] == 2.5
+        for index, worker in enumerate(awkward, start=1):
+            key = ("repro_jobs_total", (("worker", worker),))
+            assert parsed[key] == index
 
     def test_write_is_atomic_and_stable(self, tmp_path):
         registry = MetricsRegistry()

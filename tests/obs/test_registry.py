@@ -1,60 +1,52 @@
-"""Tests for the telemetry registry and its snapshot/merge cycle."""
+"""Tests for the registry's get-or-create accessors and the
+snapshot/merge cycle the tracer and the executor rely on."""
 
 import json
 
 import pytest
 
-from repro.obs.registry import NULL_REGISTRY, TelemetryRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
 class TestMetrics:
     def test_counter_get_or_create(self):
-        registry = TelemetryRegistry()
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(2)
-        assert registry.counter("hits").value == 3
+        registry = MetricsRegistry()
+        registry.counter("hits_total").inc()
+        registry.counter("hits_total").inc(2)
+        assert registry.counter("hits_total").value == 3
 
     def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            TelemetryRegistry().counter("hits").inc(-1)
+        with pytest.raises(ValueError, match=">= 0"):
+            MetricsRegistry().counter("hits_total").inc(-1)
 
     def test_gauge_last_write_wins(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         registry.gauge("progress").set(0.25)
         registry.gauge("progress").set(0.75)
         assert registry.gauge("progress").value == 0.75
 
-    def test_stats_reuses_online_stats(self):
-        registry = TelemetryRegistry()
-        registry.stats("latency").add(2.0)
-        registry.stats("latency").add(4.0)
-        assert registry.stats("latency").mean == pytest.approx(3.0)
-
-    def test_histogram_needs_edges_on_first_use(self):
-        registry = TelemetryRegistry()
-        with pytest.raises(ValueError, match="edges"):
+    def test_histogram_buckets_fixed_at_declaration(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat", buckets=(1.0, 10.0, 100.0)).observe(5.0)
+        with pytest.raises(ValueError, match="other buckets"):
             registry.histogram("lat")
-        hist = registry.histogram("lat", [1.0, 10.0, 100.0])
-        hist.add(5.0)
-        assert registry.histogram("lat").total == 1
+        hist = registry.histogram("lat", buckets=(1.0, 10.0, 100.0))
+        assert hist.labels().count == 1
 
-    def test_len_counts_all_kinds(self):
-        registry = TelemetryRegistry()
-        registry.counter("a")
-        registry.gauge("b")
-        registry.stats("c")
-        registry.histogram("d", [1.0])
-        assert len(registry) == 4
+    def test_sample_count_counts_all_kinds(self):
+        registry = MetricsRegistry()
+        registry.counter("a_total").labels()
+        registry.gauge("b").labels()
+        registry.histogram("d", buckets=(1.0,)).labels()
+        assert registry.sample_count() == 3
 
 
 class TestSnapshotMerge:
     def filled(self):
-        registry = TelemetryRegistry()
-        registry.counter("events").inc(10)
+        registry = MetricsRegistry()
+        registry.counter("events_total").inc(10)
         registry.gauge("progress").set(0.5)
-        for value in (1.0, 3.0, 5.0):
-            registry.stats("lat").add(value)
-        registry.histogram("lat_h", [1.0, 10.0]).add(2.0)
+        registry.histogram("lat_h", buckets=(1.0, 10.0)).observe(2.0)
         return registry
 
     def test_snapshot_is_json_compatible(self):
@@ -64,64 +56,39 @@ class TestSnapshotMerge:
     def test_merge_counters_add(self):
         left, right = self.filled(), self.filled()
         left.merge_snapshot(right.snapshot())
-        assert left.counter("events").value == 20
+        assert left.counter("events_total").value == 20
 
     def test_merge_gauges_last_write(self):
         left = self.filled()
-        right = TelemetryRegistry()
+        right = MetricsRegistry()
         right.gauge("progress").set(1.0)
         left.merge_snapshot(right.snapshot())
         assert left.gauge("progress").value == 1.0
 
-    def test_merge_stats_exact(self):
-        left, right = TelemetryRegistry(), TelemetryRegistry()
-        serial = TelemetryRegistry()
-        for value in (1.0, 2.0, 7.0):
-            left.stats("lat").add(value)
-            serial.stats("lat").add(value)
-        for value in (4.0, 100.0):
-            right.stats("lat").add(value)
-            serial.stats("lat").add(value)
-        left.merge_snapshot(right.snapshot())
-        merged, expected = left.stats("lat"), serial.stats("lat")
-        assert merged.count == expected.count
-        assert merged.mean == pytest.approx(expected.mean)
-        assert merged.variance == pytest.approx(expected.variance)
-        assert merged.minimum == expected.minimum
-        assert merged.maximum == expected.maximum
-
     def test_merge_histograms_add(self):
         left, right = self.filled(), self.filled()
         left.merge_snapshot(right.snapshot())
-        assert left.histogram("lat_h").total == 2
+        merged = left.histogram("lat_h", buckets=(1.0, 10.0))
+        assert merged.labels().count == 2
 
     def test_merge_incompatible_histogram_edges_rejected(self):
         left = self.filled()
         snapshot = self.filled().snapshot()
-        snapshot["histograms"]["lat_h"]["edges"] = [5.0, 50.0]
-        with pytest.raises(ValueError, match="edges"):
+        snapshot["families"]["lat_h"]["buckets"] = [5.0, 50.0]
+        with pytest.raises(ValueError, match="other buckets"):
             left.merge_snapshot(snapshot)
 
     def test_merge_into_empty_registry(self):
-        empty = TelemetryRegistry()
+        empty = MetricsRegistry()
         empty.merge_snapshot(self.filled().snapshot())
-        assert empty.counter("events").value == 10
-        assert empty.stats("lat").count == 3
-
-    def test_summary_lines_sorted_and_complete(self):
-        lines = self.filled().summary_lines()
-        assert any(line.startswith("counter events") for line in lines)
-        assert any(line.startswith("gauge progress") for line in lines)
-        assert any(line.startswith("stats lat:") for line in lines)
-        assert any(line.startswith("histogram lat_h") for line in lines)
+        assert empty.counter("events_total").value == 10
+        assert empty.snapshot() == self.filled().snapshot()
 
 
 class TestNullRegistry:
     def test_accepts_everything_stores_nothing(self):
-        NULL_REGISTRY.counter("x").inc()
-        NULL_REGISTRY.gauge("y").set(1.0)
-        NULL_REGISTRY.stats("z").add(2.0)
-        NULL_REGISTRY.histogram("h", [1.0]).add(0.5)
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.summary_lines() == []
+        NULL_METRICS.counter("x").inc()
+        NULL_METRICS.gauge("y").set(1.0)
+        NULL_METRICS.histogram("h", buckets=(1.0,)).observe(0.5)
+        assert NULL_METRICS.sample_count() == 0
+        assert NULL_METRICS.snapshot() == MetricsRegistry().snapshot()

@@ -7,6 +7,7 @@ from repro.experiments.configs import build_hcsd_system
 from repro.experiments.runner import run_trace
 from repro.obs.analysis import TraceAnalysis, analyze
 from repro.obs.export import read_chrome_trace, write_chrome_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     render_html,
     render_text,
@@ -35,17 +36,16 @@ def synthetic_analysis():
         Span("rot", "rotation", 3.0, 4.0, ("d", "arm 0"), {"req": 0}),
         Span("req", "array", 0.0, 7.0, ("d", "io"), None),
     ]
+    telemetry = MetricsRegistry()
+    telemetry.counter("repro_runs_completed_total").inc()
+    telemetry.counter("repro_arm_selections_total", labels=("arm",)).labels(
+        arm=1
+    ).inc(3)
+    telemetry.gauge("repro_queue_depth").set(2.0)
+    telemetry.histogram("repro_run_elapsed_ms").observe(7.0)
     return TraceAnalysis(
         spans,
-        telemetry={
-            "counters": {"runs.completed": 1},
-            "gauges": {"queue.depth": 2.0},
-            "stats": {
-                "run.elapsed_ms": {
-                    "count": 1, "mean": 7.0, "min": 7.0, "max": 7.0
-                }
-            },
-        },
+        telemetry=telemetry.snapshot(),
     )
 
 
@@ -90,9 +90,10 @@ class TestRenderText:
 
     def test_telemetry_rendered(self):
         text = render_text(synthetic_analysis())
-        assert "counter runs.completed = 1" in text
-        assert "gauge queue.depth = 2" in text
-        assert "stats run.elapsed_ms" in text
+        assert "counter repro_runs_completed_total = 1" in text
+        assert "counter repro_arm_selections_total{arm=1} = 3" in text
+        assert "gauge repro_queue_depth = 2" in text
+        assert "histogram repro_run_elapsed_ms: n=1 mean=7.000" in text
 
     def test_dropped_spans_warning(self):
         analysis = synthetic_analysis()
@@ -154,8 +155,11 @@ class TestChromeRoundTrip:
         path = tmp_path / "trace.json"
         write_chrome_trace(tracer, str(path))
         restored = read_chrome_trace(str(path))
-        counters = restored.telemetry.snapshot()["counters"]
-        assert counters.get("runs.completed") == 1
+        assert restored.telemetry.snapshot() == tracer.telemetry.snapshot()
+        runs = restored.telemetry.counter(
+            "repro_sim_runs_total", labels=("mode",)
+        )
+        assert runs.labels(mode="memory").value == 1
 
 
 class TestReportCli:

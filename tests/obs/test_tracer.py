@@ -89,23 +89,43 @@ class TestTracer:
         worker = Tracer()
         worker.span("seek", "seek", 0, 1, ("d", "arm 0"), args={"req": 1})
         worker.instant("mark", 2, ("d", "arm 0"))
-        worker.telemetry.counter("cache.read_hits").inc(3)
-        worker.telemetry.stats("run.elapsed_ms").add(10.0)
+        worker.telemetry.counter("repro_cache_read_hits_total").inc(3)
+        worker.telemetry.histogram("repro_run_elapsed_ms").observe(10.0)
         payload = pickle.loads(pickle.dumps(worker.payload()))
 
         parent = Tracer()
-        parent.telemetry.counter("cache.read_hits").inc(2)
+        parent.telemetry.counter("repro_cache_read_hits_total").inc(2)
         parent.merge_payload(payload)
         assert len(parent.spans) == 2
         assert parent.spans[0].args == {"req": 1}
-        assert parent.telemetry.counter("cache.read_hits").value == 5
-        assert parent.telemetry.stats("run.elapsed_ms").count == 1
+        hits = parent.telemetry.counter("repro_cache_read_hits_total")
+        assert hits.value == 5
+        elapsed = parent.telemetry.histogram("repro_run_elapsed_ms")
+        assert elapsed.labels().count == 1
 
     def test_merge_payload_accumulates_drops(self):
         parent = Tracer()
-        parent.merge_payload({"spans": [], "telemetry": {},
-                              "dropped_spans": 4})
+        payload = dict(NULL_TRACER.payload(), dropped_spans=4)
+        parent.merge_payload(payload)
         assert parent.dropped_spans == 4
+
+    def test_empty_payloads_merge_as_empty(self, tmp_path):
+        from repro.obs.export import read_chrome_trace
+
+        parent = Tracer()
+        parent.merge_payload(NULL_TRACER.payload())
+        path = tmp_path / "empty.json"
+        path.write_text('{"traceEvents": [], "otherData": {}}')
+        parent.merge_payload(read_chrome_trace(str(path)).payload())
+        assert parent.telemetry.snapshot() == NULL_TRACER.payload()[
+            "telemetry"
+        ]
+        assert parent.telemetry.sample_count() == 0
+
+    def test_foreign_telemetry_schema_rejected(self):
+        payload = dict(NULL_TRACER.payload(), telemetry={"counters": {}})
+        with pytest.raises(ValueError, match="cannot merge metrics schema"):
+            Tracer().merge_payload(payload)
 
     def test_clear(self):
         tracer = Tracer()
@@ -113,7 +133,7 @@ class TestTracer:
         tracer.telemetry.counter("x").inc()
         tracer.clear()
         assert tracer.spans == []
-        assert len(tracer.telemetry) == 0
+        assert tracer.telemetry.sample_count() == 0
 
 
 class TestRingBuffer:
@@ -202,7 +222,7 @@ class TestNullTracer:
         with null.scope("run"):
             pass
         null.telemetry.counter("x").inc()
-        null.telemetry.stats("y").add(1.0)
+        null.telemetry.histogram("y").observe(1.0)
         assert null.spans == []
         assert null.spans_by_category() == {}
         assert null.tracks() == []

@@ -179,10 +179,17 @@ class TestService:
         submit(q, JobSpec(**SMALL))
         snapshot = worker_loop(q, drain=True)
         assert snapshot["processed"] == 2
-        counters = snapshot["counters"]
-        assert counters["jobs.cache_misses"] == 1
-        assert counters["jobs.cache_hits"] == 1
-        assert counters["jobs.completed"] == 2
+        assert snapshot["schema"] == "repro-metrics/1"
+        families = snapshot["families"]
+
+        def count(name):
+            (series,) = families[name]["series"]
+            assert series["labels"] == {"worker": snapshot["worker"]}
+            return series["value"]
+
+        assert count("repro_cache_misses_total") == 1
+        assert count("repro_cache_hits_total") == 1
+        assert count("repro_jobs_completed_total") == 2
 
     def test_max_jobs_bounds_the_loop(self, tmp_path):
         q = tmp_path / "q"
