@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.actuator import ArmAssembly
 from repro.core.parallel_disk import ParallelDisk
 from repro.core.taxonomy import DashConfig
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, remove_request
 from repro.disk.scheduler import QueueScheduler
 from repro.disk.specs import DriveSpec
 from repro.sim.engine import Environment
@@ -91,7 +91,7 @@ class OverlappedParallelDisk(ParallelDisk):
             if request.is_read and self.cache.lookup_read(
                 request.lba, request.size
             ):
-                self._pending.remove(request)
+                remove_request(self._pending, request)
                 self._cylinder_cache.pop(request.request_id, None)
                 request.start_service = self.env.now
                 self.env.process(self._run_cache_hit(request))
@@ -110,7 +110,7 @@ class OverlappedParallelDisk(ParallelDisk):
                 yield self._wakeup
                 self._wakeup = None
                 continue
-            self._pending.remove(request)
+            remove_request(self._pending, request)
             self._cylinder_cache.pop(request.request_id, None)
             request.start_service = self.env.now
             arm.busy_until = _FAR_FUTURE

@@ -22,7 +22,7 @@ multiple channels) live in :mod:`repro.core.extensions`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.actuator import ArmAssembly
 from repro.core.taxonomy import DashConfig
@@ -207,17 +207,27 @@ class ParallelDisk(ConventionalDrive):
         return arm, seek, rotation, head
 
     def positioning_estimate(self, request: IORequest) -> float:
-        if request.is_read and self.cache.contains(request.lba, request.size):
-            return 0.0
-        target = self._target_cache.get(request.request_id)
-        if target is None:
-            target = self.geometry.decode_target(request.lba)
-            self._target_cache[request.request_id] = target
-        cylinder, sector_angle = target
-        _, seek, rotation, _ = self._best_arm(
-            cylinder, sector_angle, self.env._now
+        """Seek + rotational latency over the best idle arm, were
+        ``request`` dispatched now (0.0 for a cached read)."""
+        # Same body as the inherited method; defined on this class too
+        # because host-time tracers (perfbench's layer tracer) wrap it
+        # per class.
+        return self.positioning_times((request,))[0]
+
+    def positioning_times(
+        self, candidates: Sequence[IORequest]
+    ) -> List[float]:
+        """Price a scheduling window over every idle, healthy arm."""
+        now = self.env._now
+        return self._price_window(
+            candidates,
+            [
+                (arm.cylinder, head_angle)
+                for arm in self.arms
+                if not arm.failed and now >= arm.busy_until
+                for head_angle in arm._head_angles
+            ],
         )
-        return seek + rotation
 
     def _preposition(self, active_arm: ArmAssembly, target_cylinder: int) -> None:
         """Background repositioning of a stranded idle assembly.

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.disk.cache import DiskCache
 from repro.disk.geometry import DiskGeometry, PhysicalAddress
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, remove_request
 from repro.disk.rotation import Spindle
 from repro.disk.scheduler import (
     FCFSScheduler,
@@ -42,6 +42,8 @@ from repro.obs.tracer import tracer_for
 from repro.sim.engine import Environment, Event
 
 __all__ = ["ConventionalDrive", "DriveStats"]
+
+_INFINITY = float("inf")
 
 
 @dataclass
@@ -224,6 +226,7 @@ class ConventionalDrive:
             current_cylinder=self._current_cylinder,
             cylinder_of=self._cylinder_of,
             positioning_time=self.positioning_estimate,
+            positioning_times=self.positioning_times,
         )
         self._server = env.process(self._serve_loop())
 
@@ -334,25 +337,97 @@ class ConventionalDrive:
     def positioning_estimate(self, request: IORequest) -> float:
         """Estimated seek + rotational latency if dispatched right now.
 
-        Used by SPTF; cache hits estimate to zero so they are always
-        preferred.
+        Cache hits estimate to zero so SPTF always prefers them.
         """
-        if request.is_read and self.cache.contains(request.lba, request.size):
-            return 0.0
-        target = self._target_cache.get(request.request_id)
-        if target is None:
-            target = self.geometry.decode_target(request.lba)
-            self._target_cache[request.request_id] = target
-        cylinder, sector_angle = target
-        seek = (
-            self.seek_model.seek_time(self._current_cylinder, cylinder)
-            * self.seek_scale
+        return self.positioning_times((request,))[0]
+
+    def positioning_times(
+        self, candidates: Sequence[IORequest]
+    ) -> List[float]:
+        """:meth:`positioning_estimate` for a whole scheduling window.
+
+        SPTF prices its window with one call per decision.
+        """
+        return self._price_window(
+            candidates, ((self._current_cylinder, 0.0),)
         )
-        rotation = (
-            self.spindle.latency_to(self.env._now + seek, sector_angle)
-            * self.rotation_scale
-        )
-        return seek + rotation
+
+    def _price_window(
+        self,
+        candidates: Sequence[IORequest],
+        heads: Sequence[Tuple[int, float]],
+    ) -> List[float]:
+        """Seek + rotational latency of each candidate on its best head.
+
+        ``heads`` lists every head of every idle arm as ``(arm
+        cylinder, head angle)``, in arm order.  Cached reads price 0.0
+        before any arm work, so they need no idle arm.  Every other
+        candidate takes the minimum over the heads, computed with the
+        float operations of ``Spindle.latency_to`` in the same order,
+        so each estimate is bit-identical to ``ParallelDisk._best_arm``
+        pricing the request alone.  (Its per-arm minimum over heads
+        followed by ``* rotation_scale`` and ``seek +`` gives the same
+        value as minimising over heads directly: rounding is monotone,
+        and both steps add or multiply a non-negative constant.)
+
+        The spindle state, scales and now are read once per call, and
+        seeks come one head at a time from :meth:`SeekModel.seek_times`.
+        A head whose seek alone reaches the candidate's best total so
+        far cannot beat it (rotation is non-negative), so its rotation
+        is never computed.
+        """
+        contains = self.cache.contains
+        target_cache = self._target_cache
+        estimates: List[float] = []
+        misses: List[int] = []
+        targets: List[Tuple[int, float]] = []
+        for index, request in enumerate(candidates):
+            if request.is_read and contains(request.lba, request.size):
+                estimates.append(0.0)
+                continue
+            target = target_cache.get(request.request_id)
+            if target is None:
+                target = self.geometry.decode_target(request.lba)
+                target_cache[request.request_id] = target
+            estimates.append(0.0)
+            misses.append(index)
+            targets.append(target)
+        if not misses:
+            return estimates
+        if not heads:
+            raise RuntimeError("no idle arm available")
+        now = self.env._now
+        spindle = self.spindle
+        period = spindle._period_ms
+        phase = spindle.phase
+        seek_scale = self.seek_scale
+        rotation_scale = self.rotation_scale
+        seek_times = self.seek_model.seek_times
+        cylinders = [cylinder for cylinder, _ in targets]
+        head_seeks = []
+        for cylinder, head_angle in heads:
+            seeks = seek_times(cylinder, cylinders)
+            # x * 1.0 == x, so the unscaled case needs no copy.
+            if seek_scale != 1.0:
+                seeks = [seek * seek_scale for seek in seeks]
+            head_seeks.append((seeks, head_angle))
+        for slot, (index, (_, sector_angle)) in enumerate(
+            zip(misses, targets)
+        ):
+            best = _INFINITY
+            for seeks, head_angle in head_seeks:
+                seek = seeks[slot]
+                if seek >= best:
+                    continue
+                platter = (phase + (now + seek) / period) % 1.0
+                gap = (sector_angle - platter - head_angle) % 1.0
+                if gap >= 1.0:  # float quirk: (-1e-18) % 1.0 == 1.0
+                    gap = 0.0
+                total = seek + gap * period * rotation_scale
+                if total < best:
+                    best = total
+            estimates[index] = best
+        return estimates
 
     # -- internals ----------------------------------------------------------
     def _cylinder_of(self, request: IORequest) -> int:
@@ -425,7 +500,7 @@ class ConventionalDrive:
                 request = pending.pop()
             else:
                 request = select(pending, self._context())
-                pending.remove(request)
+                remove_request(pending, request)
             # The decode memos fill only under position-aware policies;
             # guarding keeps the FCFS path to two truth tests.
             if self._cylinder_cache:

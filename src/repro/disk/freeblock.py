@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.disk.drive import ConventionalDrive
-from repro.disk.request import IORequest
+from repro.disk.request import IORequest, remove_request
 from repro.disk.scheduler import QueueScheduler
 from repro.disk.specs import DriveSpec
 from repro.sim.engine import Environment, Event
@@ -234,7 +234,7 @@ class FreeblockDrive(ConventionalDrive):
 
     def _run_background(self, plan, foreground_rotation: float):
         request, seek_out, rotation, transfer, seek_back = plan
-        self._background.remove(request)
+        remove_request(self._background, request)
         request.start_service = self.env.now
         excursion = seek_out + rotation + transfer + seek_back
         yield self.env.timeout(excursion)

@@ -12,7 +12,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-__all__ = ["IORequest", "SECTOR_BYTES", "new_request", "release_request"]
+__all__ = [
+    "IORequest",
+    "SECTOR_BYTES",
+    "new_request",
+    "release_request",
+    "remove_request",
+]
 
 #: Size of one logical sector, in bytes.
 SECTOR_BYTES = 512
@@ -258,3 +264,25 @@ def release_request(request: IORequest) -> None:
     is undefined — the shell's every field changes on reuse.
     """
     _slab.append(request)
+
+
+def remove_request(queue: List[IORequest], request: IORequest) -> None:
+    """Remove ``request`` itself from ``queue``.
+
+    Drives dequeue the exact object their scheduler chose.
+    ``list.remove`` would compare by value instead, running the
+    dataclass ``__eq__`` (two field tuples) against every request
+    queued ahead of the choice.  Raises ``ValueError`` when
+    ``request`` is not queued.
+    """
+    if queue and queue[0] is request:
+        # The head is the common case (FCFS picks it), and skipping
+        # the enumerate loop keeps that dequeue as cheap as the C
+        # ``list.remove`` it replaces.
+        del queue[0]
+        return
+    for index, queued in enumerate(queue):
+        if queued is request:
+            del queue[index]
+            return
+    raise ValueError(f"{request} is not queued")

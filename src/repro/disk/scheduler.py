@@ -42,6 +42,14 @@ class SchedulingContext:
     positioning_time:
         Maps a request to estimated seek + rotational latency were it
         dispatched now (over the best arm, for parallel drives).
+    positioning_times:
+        Batch form of ``positioning_time``: maps a scheduling window
+        to one estimate per request, in order.  SPTF calls it once per
+        decision, so a drive can hoist its per-decision state (idle
+        arms, spindle phase, scales) out of the per-candidate loop.
+        Estimates must be bit-identical to ``positioning_time``.  When
+        only ``positioning_time`` is given, the batch is derived from
+        it one request at a time.
     """
 
     def __init__(
@@ -49,10 +57,23 @@ class SchedulingContext:
         current_cylinder: int,
         cylinder_of: Callable[[IORequest], int],
         positioning_time: Optional[Callable[[IORequest], float]] = None,
+        positioning_times: Optional[
+            Callable[[Sequence[IORequest]], List[float]]
+        ] = None,
     ):
         self.current_cylinder = current_cylinder
         self.cylinder_of = cylinder_of
         self.positioning_time = positioning_time
+        if positioning_times is None and positioning_time is not None:
+            positioning_times = self._per_request_times
+        self.positioning_times = positioning_times
+
+    def _per_request_times(
+        self, candidates: Sequence[IORequest]
+    ) -> List[float]:
+        """The derived batch: one ``positioning_time`` call each."""
+        positioning_time = self.positioning_time
+        return [positioning_time(request) for request in candidates]
 
 
 #: Default scheduling-window depth: position-aware policies evaluate at
@@ -163,9 +184,10 @@ class SSTFScheduler(QueueScheduler):
 class SPTFScheduler(QueueScheduler):
     """Shortest-positioning-time-first (seek + rotational latency).
 
-    Requires the context to supply a positioning-time estimator; this
-    is the policy the paper uses for both conventional and
-    multi-actuator drives.
+    Requires the context to supply a positioning-time estimator, which
+    it calls once per decision for the whole window; this is the
+    policy the paper uses for both conventional and multi-actuator
+    drives.
     """
 
     name = "sptf"
@@ -174,22 +196,24 @@ class SPTFScheduler(QueueScheduler):
         self, pending: Sequence[IORequest], context: SchedulingContext
     ) -> IORequest:
         self._require_pending(pending)
-        if context.positioning_time is None:
+        positioning_times = context.positioning_times
+        if positioning_times is None:
             raise ValueError(
-                "SPTF requires a positioning_time estimator in the context"
+                "SPTF requires a positioning_time or positioning_times "
+                "estimator in the context"
             )
         if len(pending) == 1:
             # Singleton queue: the choice is forced, skip the estimate.
             return pending[0]
-        # Manual min() over (estimate, arrival_time, request_id): the
-        # equal-estimate tie-break only builds tuples when it actually
-        # ties, instead of once per candidate.
-        positioning_time = context.positioning_time
-        best = None
-        best_time = 0.0
-        for request in self._candidates(pending):
-            estimate = positioning_time(request)
-            if best is None or estimate < best_time:
+        # One batch call prices the whole window; then a manual min()
+        # over (estimate, arrival_time, request_id): the equal-estimate
+        # tie-break only builds tuples when it actually ties, instead
+        # of once per candidate.
+        candidates = self._candidates(pending)
+        pairs = zip(candidates, positioning_times(candidates))
+        best, best_time = next(pairs)
+        for request, estimate in pairs:
+            if estimate < best_time:
                 best = request
                 best_time = estimate
             elif estimate == best_time and (

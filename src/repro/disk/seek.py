@@ -14,7 +14,7 @@ provided for tests and analytic sanity checks.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "ConstantSeekModel",
@@ -73,6 +73,28 @@ class SeekModel:
         if time_ms is None:
             time_ms = memo[distance] = self._time_for_distance(distance)
         return time_ms
+
+    def seek_times(
+        self, from_cylinder: int, to_cylinders: Sequence[int]
+    ) -> List[float]:
+        """:meth:`seek_time` from one cylinder to each of several.
+
+        One call per arm prices a whole scheduling window.  Table hits
+        resolve inline; misses and zero distances (which the table
+        never holds) go through :meth:`seek_time`, so every entry is
+        bit-identical to it.
+        """
+        get = self._memo.get
+        times = []
+        for to_cylinder in to_cylinders:
+            distance = to_cylinder - from_cylinder
+            if distance < 0:
+                distance = -distance
+            time_ms = get(distance)
+            if time_ms is None:
+                time_ms = self.seek_time(from_cylinder, to_cylinder)
+            times.append(time_ms)
+        return times
 
     def _time_for_distance(self, distance: int) -> float:
         raise NotImplementedError

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.disk.request import IORequest
+from repro.disk.request import new_request
 from repro.metrics.collector import RequestCollector
 from repro.sim.engine import Environment
 
@@ -122,7 +122,7 @@ class ClosedLoopClients:
                 yield self.env.timeout(
                     self._rng.expovariate(1.0 / self.think_time_ms)
                 )
-            request = IORequest(
+            request = new_request(
                 lba=self._rng.randint(0, limit),
                 size=self.request_size_sectors,
                 is_read=self._rng.random() < self.read_fraction,

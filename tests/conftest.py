@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.disk.request import IORequest
 from repro.disk.specs import DriveSpec
 
 
@@ -24,3 +25,17 @@ def tiny_spec():
         controller_overhead_ms=0.1,
         head_switch_ms=0.4,
     )
+
+
+@pytest.fixture
+def forbid_request_equality(monkeypatch):
+    """Make comparing two requests by value an error for one test.
+
+    Drives must dequeue the exact object their scheduler chose; a
+    value comparison (``list.remove``) would call ``IORequest.__eq__``.
+    """
+
+    def no_value_equality(self, other):
+        raise AssertionError("requests compared by value")
+
+    monkeypatch.setattr(IORequest, "__eq__", no_value_equality)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.extensions import OverlappedParallelDisk
 from repro.core.taxonomy import DashConfig
 from repro.disk.request import IORequest
-from repro.disk.scheduler import FCFSScheduler
+from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
 from repro.sim.engine import Environment
 
 
@@ -56,3 +56,29 @@ class TestWaitForBetterArm:
         assert arm.arm_id == 0
         arm, _, _, _ = disk.best_arm_for(request, 0.0)
         assert arm.arm_id == 1
+
+
+class TestIdentityDequeue:
+    def test_deep_queue_drains_without_request_equality(
+        self, tiny_spec, forbid_request_equality
+    ):
+        env = Environment()
+        disk = OverlappedParallelDisk(
+            env,
+            tiny_spec,
+            config=DashConfig(arm_assemblies=2),
+            channels=2,
+            scheduler=SPTFScheduler(),
+        )
+        limit = disk.geometry.total_sectors - 16
+        for index in range(40):
+            disk.submit(
+                IORequest(
+                    lba=(index * 7919 * 97) % limit,
+                    size=8,
+                    is_read=index % 3 == 0,
+                )
+            )
+        env.run()
+        assert disk.stats.requests_completed == 40
+        assert disk.queue_depth == 0

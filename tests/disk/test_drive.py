@@ -171,6 +171,27 @@ class TestQueueing:
             drive.submit(huge)
 
 
+class TestIdentityDequeue:
+    def test_sptf_drive_drains_without_request_equality(
+        self, env, tiny_spec, forbid_request_equality
+    ):
+        """Dequeueing takes the chosen object itself: a deep SPTF queue
+        drains even when comparing two requests by value is an error."""
+        drive = ConventionalDrive(env, tiny_spec, scheduler=SPTFScheduler())
+        limit = drive.geometry.total_sectors - 16
+        for index in range(40):
+            drive.submit(
+                IORequest(
+                    lba=(index * 7919 * 97) % limit,
+                    size=8,
+                    is_read=index % 3 == 0,
+                )
+            )
+        env.run()
+        assert drive.stats.requests_completed == 40
+        assert drive.queue_depth == 0
+
+
 class TestLatencyScaling:
     def test_seek_scale_halves_seek(self, env, tiny_spec):
         def seek_with(scale):

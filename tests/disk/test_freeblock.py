@@ -154,6 +154,18 @@ class TestFreeblockServicing:
         assert len(completed) == drive.freeblock_serviced
 
 
+class TestIdentityDequeue:
+    def test_background_drains_without_request_equality(
+        self, setup, forbid_request_equality
+    ):
+        env, drive = setup
+        foreground = foreground_stream(drive, 40)
+        background = background_near(drive, foreground, 60)
+        done = run(env, drive, foreground, background)
+        assert drive.freeblock_serviced > 0
+        assert len(done) == 40 + drive.freeblock_serviced
+
+
 class TestDrain:
     def test_drain_promotes_leftovers(self, setup):
         env, drive = setup

@@ -1,9 +1,14 @@
 """Tests for the queue-scheduling policies."""
 
+import random
+
 import pytest
 
+from repro.core.parallel_disk import ParallelDisk
+from repro.core.taxonomy import DashConfig
 from repro.disk.request import IORequest
 from repro.disk.scheduler import (
+    DEFAULT_WINDOW,
     CLookScheduler,
     FCFSScheduler,
     SPTFScheduler,
@@ -12,6 +17,7 @@ from repro.disk.scheduler import (
     VScanScheduler,
     make_scheduler,
 )
+from repro.sim.engine import Environment
 
 
 def request(lba, arrival):
@@ -68,6 +74,98 @@ class TestSPTF:
             pending, context(positioning=lambda r: costs[r.lba])
         )
         assert choice.lba == 20
+
+
+class TestSPTFBatchContract:
+    def test_per_request_context_derives_the_batch(self):
+        costs = {10: 5.0, 20: 1.0, 30: 3.0}
+        pending = [request(lba, 0) for lba in costs]
+        only_per_request = context(positioning=lambda r: costs[r.lba])
+        assert only_per_request.positioning_times(pending) == [5.0, 1.0, 3.0]
+        choice = SPTFScheduler().select(pending, only_per_request)
+        assert choice.lba == 20
+
+    def test_derived_batch_keeps_the_tie_break(self):
+        late = request(10, 2.0)
+        early = request(20, 1.0)
+        pending = [late, early, request(30, 0.5)]
+        costs = {10: 1.0, 20: 1.0, 30: 4.0}
+        choice = SPTFScheduler().select(
+            pending, context(positioning=lambda r: costs[r.lba])
+        )
+        assert choice is early
+
+    def test_batch_called_once_per_decision_over_the_window(self):
+        calls = []
+
+        def batch(candidates):
+            calls.append(list(candidates))
+            return [float(r.lba) for r in candidates]
+
+        pending = [request(lba, index) for index, lba in
+                   enumerate([30, 20, 40, 10])]
+        batch_only = SchedulingContext(
+            current_cylinder=0,
+            cylinder_of=lambda r: r.lba,
+            positioning_times=batch,
+        )
+        choice = SPTFScheduler(window=3).select(pending, batch_only)
+        assert choice.lba == 20
+        assert calls == [pending[:3]]
+
+    def test_singleton_queue_skips_pricing(self):
+        def batch(candidates):
+            raise AssertionError("a forced choice needs no estimate")
+
+        only = request(7, 0.0)
+        batch_only = SchedulingContext(
+            current_cylinder=0,
+            cylinder_of=lambda r: r.lba,
+            positioning_times=batch,
+        )
+        assert SPTFScheduler().select([only], batch_only) is only
+
+    def test_recorded_queues_pick_the_same_request(self, tiny_spec):
+        """Replay every queue an SA(4) drive meets under SPTF through a
+        per-request-only context too: both must choose the same
+        request."""
+        checked = []
+
+        class RecordingSPTF(SPTFScheduler):
+            def select(self, pending, drive_context):
+                choice = super().select(pending, drive_context)
+                per_request = SchedulingContext(
+                    current_cylinder=drive_context.current_cylinder,
+                    cylinder_of=drive_context.cylinder_of,
+                    positioning_time=drive_context.positioning_time,
+                )
+                assert super().select(pending, per_request) is choice
+                if len(pending) > 1:
+                    checked.append(len(pending))
+                return choice
+
+        env = Environment()
+        drive = ParallelDisk(
+            env,
+            tiny_spec,
+            config=DashConfig(arm_assemblies=4),
+            scheduler=RecordingSPTF(),
+        )
+        rng = random.Random(11)
+        limit = drive.geometry.total_sectors - 64
+        for index in range(120):
+            drive.submit(
+                IORequest(
+                    lba=rng.randrange(0, limit),
+                    size=8,
+                    is_read=rng.random() < 0.6,
+                    arrival_time=0.0,
+                )
+            )
+        env.run()
+        assert drive.stats.requests_completed == 120
+        assert len(checked) > 100
+        assert max(checked) > DEFAULT_WINDOW
 
 
 class TestCLook:

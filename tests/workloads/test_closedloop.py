@@ -5,7 +5,7 @@ import pytest
 from repro.core.parallel_disk import ParallelDisk
 from repro.core.taxonomy import DashConfig
 from repro.disk.drive import ConventionalDrive
-from repro.disk.scheduler import FCFSScheduler
+from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
 from repro.sim.engine import Environment
 from repro.workloads.closedloop import ClosedLoopClients
 
@@ -108,3 +108,60 @@ class TestBehaviour:
             return loop.run(10).mean_response_ms
 
         assert run_once() == pytest.approx(run_once())
+
+
+def sptf_run(tiny_spec, think, seed=3):
+    """Five clients on an SPTF SA(4); returns the result and the
+    completion order as request ids relative to the run's first id."""
+    env = Environment()
+    drive = ParallelDisk(
+        env,
+        tiny_spec,
+        config=DashConfig(arm_assemblies=4),
+        scheduler=SPTFScheduler(),
+    )
+    ids = []
+    drive.on_complete.append(lambda request: ids.append(request.request_id))
+    loop = ClosedLoopClients(
+        env,
+        drive,
+        clients=5,
+        capacity_sectors=drive.geometry.total_sectors,
+        think_time_ms=think,
+        seed=seed,
+    )
+    result = loop.run(12)
+    first = min(ids)
+    return result, [request_id - first for request_id in ids]
+
+
+class TestRequestConstruction:
+    @pytest.mark.parametrize("think", [0.0, 2.0])
+    def test_same_seed_same_ids_and_counts(self, tiny_spec, think):
+        first, first_ids = sptf_run(tiny_spec, think)
+        second, second_ids = sptf_run(tiny_spec, think)
+        assert first_ids == second_ids
+        assert sorted(first_ids) == list(range(60))
+        assert first.per_client_completed == second.per_client_completed
+        assert first.per_client_completed == [12] * 5
+
+    @pytest.mark.parametrize(
+        "think, elapsed_ms, mean_ms, leading_ids",
+        [
+            (0.0, 314.1602576957786, 22.044766046806583,
+             [3, 2, 5, 0, 1, 6, 4, 9, 10, 11]),
+            (2.0, 304.5769243624453, 21.577000546568296,
+             [0, 4, 3, 2, 5, 6, 9, 7, 8, 10]),
+        ],
+    )
+    def test_figures_pinned(
+        self, tiny_spec, think, elapsed_ms, mean_ms, leading_ids
+    ):
+        """Figures recorded with dataclass-built requests: the fast
+        constructor draws the same RNG values in the same order and
+        takes ids from the same counter, so nothing may move."""
+        result, ids = sptf_run(tiny_spec, think)
+        assert result.completed == 60
+        assert result.elapsed_ms == elapsed_ms
+        assert result.mean_response_ms == mean_ms
+        assert ids[:10] == leading_ids
