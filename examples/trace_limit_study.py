@@ -2,8 +2,8 @@
 """Trace the paper's limit study and export a Perfetto-ready trace.
 
 Runs a scaled-down Figure 2 limit study (MD vs HC-SD on every
-commercial workload) plus one multi-actuator HC-SD-SA(4) pass under an
-ambient tracer, prints the recorded spans and the telemetry registry
+commercial workload) plus one multi-actuator HC-SD-SA(4) pass in a
+tracing session, prints the recorded spans and the telemetry registry
 (Prometheus text exposition), and writes Chrome trace-event JSON.
 Drop the output on https://ui.perfetto.dev to scrub the run: each
 drive is a process row, each arm assembly a thread track, and every
@@ -18,9 +18,10 @@ Run:  python examples/trace_limit_study.py [requests]
 import sys
 
 from repro.obs import (
+    Tracer,
     render_prometheus,
+    session,
     to_chrome_trace,
-    tracing,
     validate_chrome_trace,
 )
 from repro.obs.export import write_chrome_trace
@@ -33,8 +34,9 @@ OUT = "limit_study_trace.json"
 def main():
     requests = int(sys.argv[1]) if len(sys.argv) > 1 else 800
 
-    with tracing() as tracer:
+    with session(tracer=Tracer()) as s:
         results = run_limit_study(requests=requests)
+    tracer = s.tracer
 
     # -- what the tracer saw ------------------------------------------
     by_cat = ", ".join(

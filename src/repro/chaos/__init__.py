@@ -16,9 +16,6 @@ from repro.chaos.failpoints import (
     FAILPOINT_SITES,
     NULL_FAILPOINTS,
     NullFailpoints,
-    current_failpoints,
-    failpoints_session,
-    set_current_failpoints,
 )
 from repro.chaos.injector import ChaosInjector, ChaosKill, applied_events
 from repro.chaos.plan import (
@@ -62,12 +59,9 @@ __all__ = [
     "NullFailpoints",
     "SCENARIO_ALIASES",
     "applied_events",
-    "current_failpoints",
-    "failpoints_session",
     "load_chaos_plan",
     "resolve_scenarios",
     "run_campaign",
-    "set_current_failpoints",
     "validate_chaos_plan",
     "write_chaos_plan",
 ]

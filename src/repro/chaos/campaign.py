@@ -41,9 +41,9 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.chaos.failpoints import failpoints_session
 from repro.chaos.injector import ChaosInjector, applied_events
 from repro.chaos.plan import SCENARIO_ALIASES, ChaosPlan
+from repro.obs.session import session
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobSpec,
@@ -238,7 +238,7 @@ def run_campaign(
     violations: List[str] = []
 
     # -- phase 1: chaos ---------------------------------------------------
-    with failpoints_session(injector):
+    with session(failpoints=injector):
         for spec in specs:
             submit(
                 queue_dir, spec,

@@ -27,24 +27,20 @@ hanging faults only apply once bound, so a *client* process sharing
 the injector (the campaign driver submitting jobs) can never be
 crashed by worker-targeted chaos.
 
-Discovery mirrors :mod:`repro.obs.metrics`: an ambient instance via
-:func:`current_failpoints` / :func:`set_current_failpoints` /
-:func:`failpoints_session`.  Worker processes forked by ``serve()``
-inherit the ambient injector (POSIX ``fork`` start method).
+Sites find the facility in the ambient session
+(:mod:`repro.obs.session`), next to the tracer and metrics registry.
+Worker processes forked by ``serve()`` inherit the ambient injector
+(POSIX ``fork`` start method).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "FAILPOINT_SITES",
     "NULL_FAILPOINTS",
     "NullFailpoints",
-    "current_failpoints",
-    "failpoints_session",
-    "set_current_failpoints",
 ]
 
 #: Every named failpoint site threaded through the serve stack, in
@@ -97,32 +93,3 @@ class NullFailpoints:
 
 
 NULL_FAILPOINTS = NullFailpoints()
-
-#: The ambient facility consulted by the serve stack's sites.
-_ambient: object = NULL_FAILPOINTS
-
-
-def current_failpoints():
-    """The ambient failpoint facility (default: disabled singleton)."""
-    return _ambient
-
-
-def set_current_failpoints(failpoints) -> object:
-    """Install ``failpoints`` as ambient; returns the previous one.
-
-    ``None`` restores the disabled singleton.
-    """
-    global _ambient
-    previous = _ambient
-    _ambient = failpoints if failpoints is not None else NULL_FAILPOINTS
-    return previous
-
-
-@contextmanager
-def failpoints_session(failpoints) -> Iterator[object]:
-    """Install ``failpoints`` as ambient for the ``with`` body."""
-    previous = set_current_failpoints(failpoints)
-    try:
-        yield failpoints
-    finally:
-        set_current_failpoints(previous)

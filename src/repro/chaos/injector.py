@@ -2,7 +2,7 @@
 
 A :class:`ChaosInjector` implements the failpoint facility protocol
 (:mod:`repro.chaos.failpoints`) with ``enabled = True``.  Install it
-ambiently (``failpoints_session(injector)``) before forking serve
+ambiently (``session(failpoints=injector)``) before forking serve
 workers; each forked worker inherits its own copy-on-write instance,
 so site hit counts are per process while the *applied-once latches*
 are shared through the filesystem.
@@ -167,9 +167,9 @@ class ChaosInjector:
         self.applied.append(
             {"event": event.to_dict(), "path": path}
         )
-        from repro.obs.metrics import current_metrics
+        from repro.obs.session import current_session
 
-        metrics = current_metrics()
+        metrics = current_session().metrics
         if metrics.enabled:
             metrics.counter(
                 "repro_chaos_injections_total",

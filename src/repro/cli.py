@@ -40,8 +40,9 @@ without changing any figure; the dedicated ``trace`` subcommand runs a
 named experiment with richer per-arm instrumentation, and ``report``
 turns a traced run (or a previously exported trace) into utilization,
 queue-depth and bottleneck-attribution analytics.  ``--metrics PATH``
-works the same way for live operational metrics: the command runs under
-an ambient :class:`~repro.obs.metrics.MetricsRegistry` and writes a
+works the same way for live operational metrics: the command runs with
+a :class:`~repro.obs.metrics.MetricsRegistry` in the ambient session
+(both flags install one :func:`~repro.obs.session.session`) and writes a
 Prometheus text exposition (or a JSONL snapshot for a ``.jsonl`` path)
 on exit, again without changing any figure; the ``metrics`` subcommand
 reads the merged per-worker snapshots of a serve queue, one-shot or as
@@ -1714,45 +1715,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         # ``status --metrics`` is a boolean summary toggle handled by
         # its own handler, not an ambient recording session.
         metrics_path = None
+    import time
 
-    def invoke() -> None:
-        if metrics_path:
-            import time
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.metrics import (
+        MetricsRegistry,
+        append_snapshot_jsonl,
+        write_prometheus,
+    )
+    from repro.obs.session import session
+    from repro.obs.tracer import Tracer
 
-            from repro.obs.metrics import (
-                append_snapshot_jsonl,
-                metrics_session,
-                write_prometheus,
-            )
-
-            with metrics_session() as registry:
-                args.handler(args)
-            if str(metrics_path).endswith(".jsonl"):
-                append_snapshot_jsonl(
-                    registry,
-                    metrics_path,
-                    now=time.time(),
-                    meta={"command": args.command},
-                )
-            else:
-                write_prometheus(registry, metrics_path)
-            print(
-                f"wrote {metrics_path} "
-                f"({registry.sample_count()} series)"
+    with session(
+        tracer=Tracer() if trace_path else None,
+        metrics=MetricsRegistry() if metrics_path else None,
+    ) as active:
+        args.handler(args)
+    if metrics_path:
+        registry = active.metrics
+        if str(metrics_path).endswith(".jsonl"):
+            append_snapshot_jsonl(
+                registry,
+                metrics_path,
+                now=time.time(),
+                meta={"command": args.command},
             )
         else:
-            args.handler(args)
-
+            write_prometheus(registry, metrics_path)
+        print(f"wrote {metrics_path} ({registry.sample_count()} series)")
     if trace_path:
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.tracer import tracing
-
-        with tracing() as tracer:
-            invoke()
-        write_chrome_trace(tracer, trace_path)
-        print(f"wrote {trace_path} ({len(tracer.spans)} spans)")
-    else:
-        invoke()
+        write_chrome_trace(active.tracer, trace_path)
+        print(f"wrote {trace_path} ({len(active.tracer.spans)} spans)")
     return 0
 
 

@@ -38,7 +38,7 @@ from repro.faults.policy import (
     ArmedMediaFault,
     RetryPolicy,
 )
-from repro.obs.tracer import tracer_for
+from repro.obs.session import current_session
 from repro.sim.engine import Environment, Event
 
 __all__ = ["ConventionalDrive", "DriveStats"]
@@ -199,12 +199,12 @@ class ConventionalDrive:
         )
 
         self.stats = DriveStats.for_arms(getattr(spec, "actuators", 1))
-        #: Observability: resolved once at construction (``env.tracer``
-        #: or the ambient tracer; the zero-cost null tracer otherwise).
+        #: Observability: the ambient session's tracer, read once at
+        #: construction (the zero-cost null tracer unless tracing).
         #: Every instrumentation site below is guarded by
         #: ``tracer.enabled`` so untraced hot paths pay one attribute
         #: load and a branch, nothing more.
-        self.tracer = tracer_for(env)
+        self.tracer = current_session().tracer
         if self.tracer.enabled:
             self._wire_cache_telemetry()
         #: Callbacks invoked with each completed request.

@@ -26,11 +26,11 @@ serial call.
 
 Observability
 -------------
-When an ambient tracer (:func:`repro.obs.tracing`) or an ambient
-metrics registry (:func:`repro.obs.metrics_session`) is active, a
-multi-process sweep transparently collects each worker's spans,
-telemetry and live metrics: the job is wrapped so the worker runs it
-under fresh collectors and ships the recorded payloads back with the
+When the ambient session (:func:`repro.obs.session.session`) carries
+an enabled tracer or metrics registry, a multi-process sweep
+transparently collects each worker's spans, telemetry and live
+metrics: the job is wrapped so the worker runs it under a session
+with fresh collectors and ships the recorded payloads back with the
 result, and the parent merges them into the ambient collectors in job
 order — deterministic, and without re-running anything.  Neither
 tracing nor metrics ever changes job *results*; the figures stay
@@ -45,6 +45,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import current_session, session
+from repro.obs.tracer import Tracer
 
 __all__ = ["Job", "resolve_workers", "sweep", "sweep_by_key"]
 
@@ -85,29 +89,19 @@ def _run_job_observed(job: Job, traced: bool, metered: bool) -> Tuple:
 
     Returns ``(result, trace_payload, metrics_snapshot)`` — the
     plain-data forms of everything the job recorded, ready to cross
-    the process boundary.  Either side may be ``None`` when the
+    the process boundary.  Either side is ``None`` when the
     corresponding collector was not requested.
     """
-    from repro.obs.metrics import MetricsRegistry, metrics_session
-    from repro.obs.tracer import Tracer, tracing
-
-    trace_payload = None
-    metrics_snapshot = None
-    if traced and metered:
-        with tracing(Tracer()) as tracer:
-            with metrics_session(MetricsRegistry()) as registry:
-                result = job.run()
-        trace_payload = tracer.payload()
-        metrics_snapshot = registry.snapshot()
-    elif traced:
-        with tracing(Tracer()) as tracer:
-            result = job.run()
-        trace_payload = tracer.payload()
-    else:
-        with metrics_session(MetricsRegistry()) as registry:
-            result = job.run()
-        metrics_snapshot = registry.snapshot()
-    return result, trace_payload, metrics_snapshot
+    with session(
+        tracer=Tracer() if traced else None,
+        metrics=MetricsRegistry() if metered else None,
+    ) as active:
+        result = job.run()
+    return (
+        result,
+        active.tracer.payload() if traced else None,
+        active.metrics.snapshot() if metered else None,
+    )
 
 
 def _picklable(jobs: List[Job]) -> bool:
@@ -149,14 +143,11 @@ def sweep(
         )
         workers = 1
     if workers <= 1 or len(job_list) <= 1:
-        # In-process: an active ambient tracer observes the jobs
+        # In-process: the ambient session observes the jobs
         # directly, no wrapping required.
         return [job.run() for job in job_list]
-    from repro.obs.metrics import current_metrics
-    from repro.obs.tracer import current_tracer
-
-    tracer = current_tracer()
-    metrics = current_metrics()
+    observed = current_session()
+    tracer, metrics = observed.tracer, observed.metrics
     if tracer.enabled or metrics.enabled:
         # Fan out with per-worker collectors and merge the recorded
         # payloads back (in job order, so merged traces and metric

@@ -15,8 +15,7 @@ from typing import Callable, List, Optional
 
 from repro.disk.request import IORequest
 from repro.metrics.collector import RequestCollector
-from repro.obs.metrics import metrics_for
-from repro.obs.tracer import tracer_for
+from repro.obs.session import current_session
 from repro.power.accounting import PowerBreakdown, array_power
 from repro.raid.array import DiskArray
 from repro.sim.engine import Environment
@@ -181,8 +180,8 @@ def run_trace(
     # runs onto distinct exporter tracks (e.g. the HC-SD drive, which
     # is always called after its spec, across four workloads).
     run_label = label or system.label
-    tracer = tracer_for(env)
-    metrics = metrics_for(env)
+    observed = current_session()
+    tracer, metrics = observed.tracer, observed.metrics
     wall_start = time.perf_counter() if metrics.enabled else 0.0
     env.process(producer())
     with tracer.scope(run_label):
@@ -320,8 +319,8 @@ def _run_trace_streaming(
                 submitted += 1
 
     run_label = label or system.label
-    tracer = tracer_for(env)
-    metrics = metrics_for(env)
+    observed = current_session()
+    tracer, metrics = observed.tracer, observed.metrics
     wall_start = time.perf_counter() if metrics.enabled else 0.0
     env.process(producer())
     with tracer.scope(run_label):

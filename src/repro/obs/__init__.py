@@ -32,6 +32,10 @@ Four pieces:
   :mod:`repro.obs.report` renders it as text or self-contained HTML
   (``python -m repro report``).
 
+Tracing and metrics are switched on one way: through the ambient
+:class:`~repro.obs.session.Session`, installed with
+``with session(tracer=Tracer()) as s:``.
+
 See ``docs/observability.md`` for the span schema and a walkthrough.
 """
 
@@ -55,27 +59,20 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
     append_snapshot_jsonl,
-    current_metrics,
     merge_worker_snapshots,
-    metrics_for,
-    metrics_session,
     parse_prometheus,
     render_prometheus,
-    set_current_metrics,
     write_prometheus,
     write_worker_snapshot,
 )
 from repro.obs.report import render_html, render_text, write_html_report
+from repro.obs.session import Session, current_session, session
 from repro.obs.tracer import (
     NULL_TRACER,
     PHASES,
     NullTracer,
     Span,
     Tracer,
-    current_tracer,
-    set_current_tracer,
-    tracer_for,
-    tracing,
 )
 
 __all__ = [
@@ -88,27 +85,22 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NullTracer",
+    "Session",
     "Span",
     "Tracer",
     "TraceAnalysis",
     "analyze",
     "append_snapshot_jsonl",
-    "current_metrics",
-    "current_tracer",
+    "current_session",
     "merge_worker_snapshots",
-    "metrics_for",
-    "metrics_session",
     "parse_prometheus",
     "read_chrome_trace",
     "reconcile_with_collector",
     "render_html",
     "render_prometheus",
     "render_text",
-    "set_current_metrics",
-    "set_current_tracer",
+    "session",
     "to_chrome_trace",
-    "tracer_for",
-    "tracing",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_html_report",

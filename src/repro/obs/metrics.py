@@ -35,10 +35,8 @@ path for ``repro serve`` workers: each worker atomically replaces
 its own file under ``<queue>/metrics/`` and any reader merges the
 set (counters and histograms add, gauges last-write-wins).
 
-Discovery mirrors the tracer: :func:`current_metrics` /
-:func:`set_current_metrics` / the :func:`metrics_session` context
-manager install an ambient registry, and :func:`metrics_for`
-resolves an environment's registry (explicit ``env.metrics`` wins).
+Components find the registry in the ambient session
+(:mod:`repro.obs.session`), next to the tracer.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ import re
 import tempfile
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
@@ -66,15 +63,11 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "append_snapshot_jsonl",
-    "current_metrics",
     "load_worker_snapshots",
     "merge_worker_snapshots",
     "metrics_dir",
-    "metrics_for",
-    "metrics_session",
     "parse_prometheus",
     "render_prometheus",
-    "set_current_metrics",
     "write_prometheus",
     "write_worker_snapshot",
 ]
@@ -458,51 +451,6 @@ class NullMetrics:
 
 NULL_METRICS = NullMetrics()
 
-#: The ambient registry: consulted by components whose environment
-#: does not carry an explicit one.  Defaults to the null registry.
-_ambient: object = NULL_METRICS
-
-
-def current_metrics():
-    """The ambient registry (``NULL_METRICS`` unless installed)."""
-    return _ambient
-
-
-def set_current_metrics(registry) -> object:
-    """Install ``registry`` as ambient; returns the previous one."""
-    global _ambient
-    previous = _ambient
-    _ambient = registry if registry is not None else NULL_METRICS
-    return previous
-
-
-@contextmanager
-def metrics_session(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
-    """Install an ambient registry for the duration of the block::
-
-        with metrics_session() as metrics:
-            run_limit_study(requests=500)
-        write_prometheus(metrics, "metrics.prom")
-    """
-    active = registry if registry is not None else MetricsRegistry()
-    previous = set_current_metrics(active)
-    try:
-        yield active
-    finally:
-        set_current_metrics(previous)
-
-
-def metrics_for(env) -> object:
-    """Resolve the metrics registry for a simulation environment.
-
-    An explicit ``env.metrics`` wins; otherwise the ambient registry
-    applies.  Components capture the result once at construction.
-    """
-    registry = getattr(env, "metrics", None)
-    return registry if registry is not None else _ambient
-
 
 # -- Prometheus text exposition --------------------------------------
 
@@ -649,7 +597,13 @@ def _write_atomic(path: str, data: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".metrics-")
     try:
+        # mkstemp creates the file 0600; give it the mode a plain
+        # open(path, "w") would, so a collector running as another
+        # user can read the exposition.
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -1,11 +1,12 @@
 """Traced experiment drivers for ``python -m repro trace``.
 
-Each driver runs one of the repo's experiments under an ambient
-:class:`~repro.obs.tracer.Tracer` and returns a :class:`TraceRun`: the
-tracer (ready for export), the experiment's canonical figures, and a
-SHA-256 digest of those figures.  The digest is computed from exactly
-the values an *untraced* run produces, which is how the determinism
-guarantee — tracing changes no figure bit — is checked end to end.
+Each driver runs one of the repo's experiments under a session
+(:mod:`repro.obs.session`) holding a :class:`~repro.obs.tracer.Tracer`
+and returns a :class:`TraceRun`: the tracer (ready for export), the
+experiment's canonical figures, and a SHA-256 digest of those figures.
+The digest is computed from exactly the values an *untraced* run
+produces, which is how the determinism guarantee — tracing changes no
+figure bit — is checked end to end.
 
 ``limit_study`` additionally replays each workload against an
 HC-SD-SA(n) drive (default n=4) in the same traced session, so the
@@ -21,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.session import session
+from repro.obs.tracer import Tracer
 
 __all__ = ["TRACEABLE_EXPERIMENTS", "TraceRun", "trace_experiment"]
 
@@ -252,7 +254,8 @@ def trace_experiment(
         ) from None
     if actuators < 1:
         raise ValueError(f"actuators must be >= 1, got {actuators}")
-    with tracing(tracer) as active:
+    active = tracer if tracer is not None else Tracer()
+    with session(tracer=active):
         figures, summary = driver(requests, n_workers, actuators)
     return TraceRun(
         name=name, tracer=active, figures=figures, summary=summary

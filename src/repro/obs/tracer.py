@@ -20,12 +20,11 @@ whose ``enabled`` flag lets hot paths skip even the argument packing::
     if tracer.enabled:
         tracer.span("seek", "seek", start, dur, (self.label, "arm 0"))
 
-Tracer discovery is two-level: an explicit ``env.tracer`` attribute on
-the simulation environment wins, else the *ambient* tracer installed
-with :func:`tracing` / :func:`set_current_tracer` applies.  The ambient
-level is what lets ``python -m repro <cmd> --trace`` observe a whole
-experiment without changing any driver signature, including jobs that
-build their environments deep inside worker processes.
+Components find the tracer in the ambient session
+(:mod:`repro.obs.session`), which is what lets ``python -m repro <cmd>
+--trace`` observe a whole experiment without changing any driver
+signature, including jobs that build their environments deep inside
+worker processes.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "current_tracer",
-    "set_current_tracer",
-    "tracer_for",
-    "tracing",
 ]
 
 #: The canonical span categories emitted by the instrumented stack.
@@ -327,46 +322,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-#: The ambient tracer: consulted by components whose environment does
-#: not carry an explicit one.  Defaults to the null tracer.
-_ambient: object = NULL_TRACER
-
-
-def current_tracer():
-    """The ambient tracer (``NULL_TRACER`` unless one is installed)."""
-    return _ambient
-
-
-def set_current_tracer(tracer) -> object:
-    """Install ``tracer`` as the ambient tracer; returns the previous."""
-    global _ambient
-    previous = _ambient
-    _ambient = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install an ambient tracer for the duration of the block::
-
-        with tracing() as tracer:
-            run_limit_study(requests=500)
-        write_chrome_trace(tracer, "trace.json")
-    """
-    active = tracer if tracer is not None else Tracer()
-    previous = set_current_tracer(active)
-    try:
-        yield active
-    finally:
-        set_current_tracer(previous)
-
-
-def tracer_for(env) -> object:
-    """Resolve the tracer for a simulation environment.
-
-    An explicit ``env.tracer`` wins; otherwise the ambient tracer
-    applies.  Components capture the result once at construction.
-    """
-    tracer = getattr(env, "tracer", None)
-    return tracer if tracer is not None else _ambient

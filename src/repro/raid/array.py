@@ -17,7 +17,7 @@ from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest, release_request
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
-from repro.obs.tracer import tracer_for
+from repro.obs.session import current_session
 from repro.raid.layout import ConcatLayout, JBODLayout, Layout, Slice
 from repro.sim.engine import Environment, Event
 
@@ -68,10 +68,10 @@ class DiskArray:
         self.layout = layout
         self.label = label or f"array[{len(drives)}x{drives[0].label}]"
         self.requests_completed = 0
-        #: Observability (resolved like the drives: ``env.tracer`` or
-        #: the ambient tracer).  The array records logical-request
+        #: Observability (read like the drives', from the ambient
+        #: session at construction).  The array records logical-request
         #: envelopes, slice fan-out, degraded mapping and rebuild rows.
-        self.tracer = tracer_for(env)
+        self.tracer = current_session().tracer
         #: Callbacks invoked with each completed *logical* request.
         self.on_complete: List[Callable[[IORequest], None]] = []
         self._outstanding: Dict[int, Event] = {}

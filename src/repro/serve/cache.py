@@ -28,7 +28,7 @@ import tempfile
 import time
 from typing import List, Optional
 
-from repro.chaos.failpoints import current_failpoints
+from repro.obs.session import current_session
 
 __all__ = ["ResultCache"]
 
@@ -76,7 +76,7 @@ class ResultCache:
             if os.path.exists(path):
                 os.unlink(temp_path)
                 return False
-            fp = current_failpoints()
+            fp = current_session().failpoints
             if fp.enabled:
                 fp.hit("cache.put.before_replace", path=path)
             os.replace(temp_path, path)

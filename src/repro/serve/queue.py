@@ -50,7 +50,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.chaos.failpoints import current_failpoints
+from repro.obs.session import current_session
 
 __all__ = ["JobQueue", "QUEUE_STATES", "CORRUPT_STATE", "ALL_STATES"]
 
@@ -120,7 +120,7 @@ def _write_json_atomic(
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
-        fp = current_failpoints()
+        fp = current_session().failpoints
         if fp.enabled:
             fp.hit("queue.record.before_replace", path=path)
         if exclusive:
@@ -214,7 +214,7 @@ class JobQueue:
 
     def _now(self) -> float:
         """The lease clock: wall time plus any injected chaos skew."""
-        fp = current_failpoints()
+        fp = current_session().failpoints
         if fp.enabled:
             return time.time() + fp.clock_skew("queue.clock")
         return time.time()
@@ -260,7 +260,7 @@ class JobQueue:
         the claim loop.
         """
         self.last_quarantined = []
-        fp = current_failpoints()
+        fp = current_session().failpoints
         pending = os.path.join(self.root, "pending")
         for name in sorted(os.listdir(pending)):
             if not name.endswith(".json") or name.startswith("."):
@@ -367,7 +367,7 @@ class JobQueue:
         """Finish a claimed job: write the outcome, move the record."""
         if state not in ("done", "failed"):
             raise ValueError(f"ack state must be done/failed, got {state}")
-        fp = current_failpoints()
+        fp = current_session().failpoints
         claimed = self._record_path("claimed", job_id)
         record, problem = self._read_record(claimed)
         if problem is not None:

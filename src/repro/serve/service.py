@@ -41,14 +41,12 @@ import signal
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.chaos.failpoints import current_failpoints
 from repro.obs.metrics import (
     MetricsRegistry,
-    current_metrics,
     merge_worker_snapshots,
-    set_current_metrics,
     write_worker_snapshot,
 )
+from repro.obs.session import current_session, session
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobSpec,
@@ -97,10 +95,10 @@ def _cache_root(queue_dir: str, cache_dir: Optional[str]) -> str:
 
 def _retry_counter(call_name: str):
     """An ``on_retry`` hook counting client retries on the ambient
-    registry (no-op when metrics are disabled)."""
+    session's registry (no-op when metrics are disabled)."""
 
     def on_retry(attempt: int, error: BaseException) -> None:
-        metrics = current_metrics()
+        metrics = current_session().metrics
         if metrics.enabled:
             metrics.counter(
                 "repro_client_retries_total",
@@ -158,7 +156,7 @@ def submit(
         retry_on=(OSError,),
         on_retry=_retry_counter("submit"),
     )
-    metrics = current_metrics()
+    metrics = current_session().metrics
     if metrics.enabled:
         metrics.counter(
             "repro_jobs_submitted_total", "Jobs enqueued by submit()"
@@ -196,11 +194,11 @@ def worker_loop(
     its own :class:`MetricsRegistry`; the return value is that
     registry's ``repro-metrics/1`` snapshot plus ``worker`` and
     ``processed``.  ``metrics=True`` additionally installs the
-    registry as ambient for the duration (so replay instrumentation
-    lands in it too) and writes it atomically to ``<queue>/metrics/``
-    after every job and at least every ``heartbeat_interval_s``
-    seconds — the snapshot files a ``repro metrics``/``status
-    --metrics`` reader merges.
+    registry in the ambient session for the duration (so replay
+    instrumentation lands in it too) and writes it atomically to
+    ``<queue>/metrics/`` after every job and at least every
+    ``heartbeat_interval_s`` seconds — the snapshot files a ``repro
+    metrics``/``status --metrics`` reader merges.
 
     ``handle_signals=True`` (what ``serve`` passes its children)
     installs SIGTERM/SIGINT handlers that drain gracefully: the
@@ -217,7 +215,7 @@ def worker_loop(
     )
     cache = ResultCache(_cache_root(queue_dir, cache_dir))
     worker_name = owner or f"worker-{os.getpid()}"
-    failpoints = current_failpoints()
+    failpoints = current_session().failpoints
     if failpoints.enabled:
         failpoints.bind_worker(worker_name)
     registry = MetricsRegistry()
@@ -267,70 +265,66 @@ def worker_loop(
             )
 
     processed = 0
-    previous_ambient = None
-    if metrics:
-        previous_ambient = set_current_metrics(registry)
+    with session(metrics=registry if metrics else None):
         beat(force=True)
-    try:
-        while True:
-            requeued = queue.requeue_stale()
-            count_quarantined()
-            if requeued:
-                _count(
-                    registry, worker_name, "repro_jobs_requeued_total",
-                    "Stale claims returned to pending", len(requeued),
+        try:
+            while True:
+                requeued = queue.requeue_stale()
+                count_quarantined()
+                if requeued:
+                    _count(
+                        registry, worker_name, "repro_jobs_requeued_total",
+                        "Stale claims returned to pending", len(requeued),
+                    )
+                if queue.last_requeue_failed:
+                    _count(
+                        registry, worker_name, "repro_jobs_failed_out_total",
+                        "Jobs that exhausted max_attempts on requeue",
+                        len(queue.last_requeue_failed),
+                    )
+                claim_started = time.perf_counter()
+                record = queue.claim(owner=worker_name)
+                count_quarantined()
+                registry.histogram(
+                    "repro_claim_latency_ms",
+                    "Wall-clock latency of one claim attempt",
+                    labels=("worker",),
+                ).labels(worker=worker_name).observe(
+                    (time.perf_counter() - claim_started) * 1000.0
                 )
-            if queue.last_requeue_failed:
+                if record is None:
+                    if drain:
+                        break
+                    beat()
+                    time.sleep(poll_interval_s)
+                    continue
                 _count(
-                    registry, worker_name, "repro_jobs_failed_out_total",
-                    "Jobs that exhausted max_attempts on requeue",
-                    len(queue.last_requeue_failed),
+                    registry, worker_name, "repro_job_attempts_total",
+                    "Claims processed (retries of one job each count)",
                 )
-            claim_started = time.perf_counter()
-            record = queue.claim(owner=worker_name)
-            count_quarantined()
-            registry.histogram(
-                "repro_claim_latency_ms",
-                "Wall-clock latency of one claim attempt",
-                labels=("worker",),
-            ).labels(worker=worker_name).observe(
-                (time.perf_counter() - claim_started) * 1000.0
-            )
-            if record is None:
-                if drain:
+                in_flight["job_id"] = record["job_id"]
+                _process_one(record, queue, cache, worker_name, registry)
+                in_flight["job_id"] = None
+                processed += 1
+                beat(force=True)
+                if max_jobs is not None and processed >= max_jobs:
                     break
-                beat()
-                time.sleep(poll_interval_s)
-                continue
-            _count(
-                registry, worker_name, "repro_job_attempts_total",
-                "Claims processed (retries of one job each count)",
-            )
-            in_flight["job_id"] = record["job_id"]
-            _process_one(record, queue, cache, worker_name, registry)
-            in_flight["job_id"] = None
-            processed += 1
+        except GracefulShutdown:
+            job_id = in_flight["job_id"]
+            if job_id is not None and queue.release(job_id):
+                _count(
+                    registry, worker_name, "repro_jobs_released_total",
+                    "In-flight jobs released on graceful shutdown",
+                )
+            count_quarantined()
+        finally:
+            if handle_signals:
+                for signum, handler in previous_handlers.items():
+                    try:
+                        signal.signal(signum, handler)
+                    except (ValueError, TypeError):
+                        pass
             beat(force=True)
-            if max_jobs is not None and processed >= max_jobs:
-                break
-    except GracefulShutdown:
-        job_id = in_flight["job_id"]
-        if job_id is not None and queue.release(job_id):
-            _count(
-                registry, worker_name, "repro_jobs_released_total",
-                "In-flight jobs released on graceful shutdown",
-            )
-        count_quarantined()
-    finally:
-        if handle_signals:
-            for signum, handler in previous_handlers.items():
-                try:
-                    signal.signal(signum, handler)
-                except (ValueError, TypeError):
-                    pass
-        if metrics:
-            beat(force=True)
-            set_current_metrics(previous_ambient)
     snapshot = registry.snapshot()
     snapshot["worker"] = worker_name
     snapshot["processed"] = processed
@@ -359,7 +353,7 @@ def _process_one(
 ) -> None:
     job_id = record["job_id"]
     started = time.time()
-    failpoints = current_failpoints()
+    failpoints = current_session().failpoints
     try:
         if failpoints.enabled:
             failpoints.hit("service.job.before_run")
@@ -512,7 +506,7 @@ def serve(
         raise ValueError(
             f"max_restarts must be >= 0, got {max_restarts}"
         )
-    ambient = current_metrics()
+    ambient = current_session().metrics
     want_metrics = metrics or ambient.enabled
     JobQueue(queue_dir, durable=durable)  # create the layout first
     ResultCache(_cache_root(queue_dir, cache_dir))

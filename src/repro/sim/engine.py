@@ -39,6 +39,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+from repro.obs.session import current_session
+
 __all__ = [
     "AllOf",
     "AnyOf",
@@ -414,16 +416,13 @@ class EmptySchedule(Exception):
 class Environment:
     """Owns simulated time and the pending-event schedule.
 
-    ``tracer`` optionally attaches an observability tracer
-    (:mod:`repro.obs`) to this environment: components built against
-    the environment resolve it via ``repro.obs.tracer_for`` and the
-    engine itself records run-level telemetry (events dispatched,
-    final simulated time) when a tracer is enabled.  ``None`` (the
-    default) falls back to the ambient tracer, which is the zero-cost
-    null tracer unless a traced session is active.
+    The environment reads the ambient observability session
+    (:mod:`repro.obs.session`) once at construction and records
+    run-level telemetry (events dispatched, final simulated time)
+    into its tracer when that tracer is enabled.
     """
 
-    def __init__(self, initial_time: float = 0.0, tracer: Any = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: The pending-event schedule: a heap of ``(time, priority,
         #: sequence, event)`` tuples.
@@ -434,7 +433,7 @@ class Environment:
         self._timeout_pool: List[Timeout] = []
         #: Heap entries nothing watches any more (lazy deletion).
         self._stale_events = 0
-        self.tracer = tracer
+        self._tracer = current_session().tracer
 
     @property
     def now(self) -> float:
@@ -618,11 +617,7 @@ class Environment:
 
     def _record_run_telemetry(self, eid_at_entry: int) -> None:
         """Engine-level counters for an enabled tracer (no-op otherwise)."""
-        tracer = self.tracer
-        if tracer is None:
-            from repro.obs.tracer import current_tracer
-
-            tracer = current_tracer()
+        tracer = self._tracer
         if not tracer.enabled:
             return
         telemetry = tracer.telemetry

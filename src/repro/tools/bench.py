@@ -241,7 +241,7 @@ def run_metrics_overhead_bench(
 ) -> Dict:
     """Time one serial workload pass with live metrics off, then on.
 
-    The "on" pass runs under an ambient
+    The "on" pass runs under a session holding a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` — exactly what
     ``--metrics PATH`` installs — so the recorded overhead is what a
     metered production run pays.  Figures from both passes are
@@ -258,7 +258,8 @@ def run_metrics_overhead_bench(
             f"unknown workload {workload!r}; choose from "
             f"{sorted(COMMERCIAL_WORKLOADS)}"
         )
-    from repro.obs.metrics import MetricsRegistry, metrics_session
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.session import session
 
     off_wall = float("inf")
     off_outcome: Dict = {}
@@ -269,7 +270,7 @@ def run_metrics_overhead_bench(
     on_wall = float("inf")
     on_outcome: Dict = {}
     for _ in range(repeats):
-        with metrics_session(MetricsRegistry()):
+        with session(metrics=MetricsRegistry()):
             outcome = _bench_job(workload, requests)
         on_wall = min(on_wall, outcome["wall_s"])
         on_outcome = outcome

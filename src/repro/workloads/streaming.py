@@ -23,7 +23,7 @@ import os
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.disk.request import IORequest
-from repro.obs.metrics import current_metrics
+from repro.obs.session import current_session
 from repro.workloads.formats import (
     _new_skip_counts,
     detect_trace_format,
@@ -88,7 +88,7 @@ class StreamingTrace:
             last_arrival = request.arrival_time
             yield request
         self.last_skipped = {k: v for k, v in skipped.items() if v}
-        metrics = current_metrics()
+        metrics = current_session().metrics
         if metrics.enabled and self.last_skipped:
             family = metrics.counter(
                 "repro_trace_skipped_lines_total",

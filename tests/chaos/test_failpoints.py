@@ -1,4 +1,4 @@
-"""The failpoint facility: ambient discovery, zero-cost proof, and
+"""The failpoint facility: its ambient session, zero-cost proof, and
 the injector's replay semantics."""
 
 import errno
@@ -7,15 +7,10 @@ import os
 
 import pytest
 
-from repro.chaos.failpoints import (
-    NULL_FAILPOINTS,
-    NullFailpoints,
-    current_failpoints,
-    failpoints_session,
-    set_current_failpoints,
-)
+from repro.chaos.failpoints import NULL_FAILPOINTS, NullFailpoints
 from repro.chaos.injector import ChaosInjector, ChaosKill, applied_events
 from repro.chaos.plan import ChaosEvent, ChaosPlan
+from repro.obs.session import current_session, session
 from repro.serve.jobs import JobSpec
 from repro.serve.service import submit, worker_loop
 
@@ -24,7 +19,7 @@ SMALL = dict(workload="financial", requests=60, seed=5)
 
 class TestAmbient:
     def test_default_is_disabled_singleton(self):
-        fp = current_failpoints()
+        fp = current_session().failpoints
         assert fp is NULL_FAILPOINTS
         assert fp.enabled is False
         assert fp.clock_skew("queue.clock") == 0.0
@@ -32,20 +27,10 @@ class TestAmbient:
 
     def test_session_installs_and_restores(self):
         injector = ChaosInjector(ChaosPlan.empty(), kill_mode="raise")
-        with failpoints_session(injector) as installed:
-            assert installed is injector
-            assert current_failpoints() is injector
-        assert current_failpoints() is NULL_FAILPOINTS
-
-    def test_set_returns_previous_and_none_restores(self):
-        injector = ChaosInjector(ChaosPlan.empty(), kill_mode="raise")
-        previous = set_current_failpoints(injector)
-        try:
-            assert previous is NULL_FAILPOINTS
-            assert current_failpoints() is injector
-        finally:
-            set_current_failpoints(None)
-        assert current_failpoints() is NULL_FAILPOINTS
+        with session(failpoints=injector) as installed:
+            assert installed.failpoints is injector
+            assert current_session().failpoints is injector
+        assert current_session().failpoints is NULL_FAILPOINTS
 
 
 class ExplodingFailpoints(NullFailpoints):
@@ -65,7 +50,7 @@ class TestZeroCostDisabled:
         facility installed, a full submit -> claim -> run -> ack ->
         requeue sweep never calls a failpoint method."""
         q = tmp_path / "q"
-        with failpoints_session(ExplodingFailpoints()):
+        with session(failpoints=ExplodingFailpoints()):
             submit(q, JobSpec(**SMALL))
             snapshot = worker_loop(q, drain=True)
         assert snapshot["processed"] == 1

@@ -261,9 +261,11 @@ class TestArrayEvents:
 
 class TestObservability:
     def test_injection_and_deconfigure_emit_telemetry(self, tiny_spec):
-        from repro.obs.tracer import tracing
+        from repro.obs.session import session
+        from repro.obs.tracer import Tracer
 
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             drive = ParallelDisk(
                 env, tiny_spec.with_actuators(2),

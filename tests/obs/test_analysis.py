@@ -26,7 +26,8 @@ from repro.obs.analysis import (
     request_breakdowns,
     track_utilization,
 )
-from repro.obs.tracer import Span, tracing
+from repro.obs.session import session
+from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import Environment
 from repro.workloads.commercial import COMMERCIAL_WORKLOADS
 
@@ -304,7 +305,8 @@ class TestEndToEndExactness:
     def traced_run(self, build, workload_name="websearch", requests=300):
         workload = COMMERCIAL_WORKLOADS[workload_name]
         trace = workload.generate(requests)
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             run = run_trace(env, build(env, workload), trace)
         return tracer, run
@@ -343,7 +345,8 @@ class TestEndToEndExactness:
 
     def test_scaling_crosscheck_from_bottleneck_runs(self):
         workload = COMMERCIAL_WORKLOADS["websearch"]
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             _scaled_job(workload, 200, "(1/2)S", 0.5, 1.0)
             _scaled_job(workload, 200, "(1/2)R", 1.0, 0.5)
         crosscheck = analyze(tracer).scaling_crosscheck

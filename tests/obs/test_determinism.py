@@ -17,7 +17,8 @@ from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler
 from repro.obs.run import figures_digest, limit_study_figures
-from repro.obs.tracer import NullTracer, Tracer, tracing
+from repro.obs.session import session
+from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.engine import Environment
 
 
@@ -30,7 +31,7 @@ def run_workload(tracer=None, requests=300):
     if tracer is None:
         results = run_limit_study(workloads=selected, requests=requests)
     else:
-        with tracing(tracer):
+        with session(tracer=tracer):
             results = run_limit_study(
                 workloads=selected, requests=requests
             )
@@ -87,7 +88,7 @@ class TestZeroCostDisabled:
         return env.now
 
     def test_disabled_tracer_never_called_on_hot_path(self, tiny_spec):
-        with tracing(ExplodingTracer()):
+        with session(tracer=ExplodingTracer()):
             elapsed = self.drive_pass(tiny_spec)
         assert elapsed > 0
 
@@ -102,7 +103,7 @@ class TestZeroCostDisabled:
         baseline = time.perf_counter() - start
 
         start = time.perf_counter()
-        with tracing(NullTracer()):
+        with session(tracer=NullTracer()):
             disabled_now = self.drive_pass(tiny_spec)
         disabled = time.perf_counter() - start
 
@@ -111,7 +112,8 @@ class TestZeroCostDisabled:
 
     def test_simulated_timeline_identical_traced(self, tiny_spec):
         baseline = self.drive_pass(tiny_spec)
-        with tracing(Tracer()) as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             traced = self.drive_pass(tiny_spec)
         assert traced == pytest.approx(baseline, abs=0.0)
         assert tracer.spans

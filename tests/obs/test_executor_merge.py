@@ -8,14 +8,15 @@ and telemetry to the parent tracer, merged in job order.
 import pytest
 
 from repro.experiments.executor import Job, sweep
-from repro.obs.tracer import current_tracer, tracing
+from repro.obs.session import current_session, session
+from repro.obs.tracer import Tracer
 
 pytestmark = pytest.mark.bench_smoke
 
 
 def traced_job(tag, count):
     """Module-level (picklable) job that records spans and telemetry."""
-    tracer = current_tracer()
+    tracer = current_session().tracer
     for index in range(count):
         tracer.span(
             "work", "transfer", float(index), 1.0, (tag, "worker")
@@ -34,14 +35,16 @@ JOBS = [
 
 class TestWorkerTelemetryMerge:
     def test_serial_sweep_observed_directly(self):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             results = sweep(JOBS, n_workers=1)
         assert results == ["alpha:3", "beta:2", "gamma:4"]
         assert len(tracer.spans) == 9
         assert tracer.telemetry.counter("jobs_completed_total").value == 3
 
     def test_parallel_sweep_merges_in_job_order(self):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             results = sweep(JOBS, n_workers=2)
         assert results == ["alpha:3", "beta:2", "gamma:4"]
         assert len(tracer.spans) == 9
@@ -55,9 +58,11 @@ class TestWorkerTelemetryMerge:
         assert job_count["counts"] == [0, 3, 0]
 
     def test_parallel_matches_serial_telemetry(self):
-        with tracing() as serial:
+        serial = Tracer()
+        with session(tracer=serial):
             sweep(JOBS, n_workers=1)
-        with tracing() as parallel:
+        parallel = Tracer()
+        with session(tracer=parallel):
             sweep(JOBS, n_workers=2)
         assert parallel.telemetry.snapshot() == serial.telemetry.snapshot()
         assert [s.to_tuple() for s in parallel.spans] == [
@@ -67,4 +72,4 @@ class TestWorkerTelemetryMerge:
     def test_untraced_parallel_sweep_untouched(self):
         results = sweep(JOBS, n_workers=2)
         assert results == ["alpha:3", "beta:2", "gamma:4"]
-        assert current_tracer().spans == []
+        assert current_session().tracer.spans == []

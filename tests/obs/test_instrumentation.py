@@ -15,7 +15,8 @@ from repro.disk.drive import ConventionalDrive
 from repro.disk.request import IORequest
 from repro.disk.scheduler import FCFSScheduler, SPTFScheduler
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.session import session
+from repro.obs.tracer import Tracer
 from repro.raid.array import DiskArray
 from repro.raid.layout import Raid5Layout
 from repro.sim.engine import Environment
@@ -42,7 +43,8 @@ def spread_requests(device, count, stride=200_000, size=8):
 
 class TestDriveSpans:
     def test_phase_spans_cover_service_time(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             drive = ConventionalDrive(
                 env, tiny_spec, scheduler=FCFSScheduler()
@@ -54,7 +56,8 @@ class TestDriveSpans:
         assert validate_chrome_trace(to_chrome_trace(tracer)) == []
 
     def test_spans_attribute_requests(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             drive = ConventionalDrive(
                 env, tiny_spec, scheduler=FCFSScheduler()
@@ -64,7 +67,8 @@ class TestDriveSpans:
         assert {"req", "lba", "sectors", "rw"} <= set(seek.args)
 
     def test_cache_hit_spans_and_counters(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             drive = ConventionalDrive(
                 env, tiny_spec, scheduler=FCFSScheduler()
@@ -97,7 +101,8 @@ class TestParallelDiskSpans:
         )
 
     def test_per_arm_tracks(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             disk = self.make_disk(env, tiny_spec)
             run_requests(env, disk, spread_requests(disk, 24))
@@ -106,7 +111,8 @@ class TestParallelDiskSpans:
         assert len(arms_used) >= 2  # SPTF spreads across actuators
 
     def test_arm_select_instants_annotated(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             disk = self.make_disk(env, tiny_spec)
             run_requests(env, disk, spread_requests(disk, 12))
@@ -136,7 +142,8 @@ class TestArraySpans:
         return DiskArray(env, drives, layout, label="test-array"), layout
 
     def test_logical_request_envelopes(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             array, layout = self.build_array(env, tiny_spec)
 
@@ -154,7 +161,8 @@ class TestArraySpans:
         assert envelopes[0].args["degraded"] is False
 
     def test_degraded_and_rebuild_spans(self, tiny_spec):
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             env = Environment()
             array, layout = self.build_array(env, tiny_spec)
             array.fail_drive(1)
@@ -217,7 +225,8 @@ class TestScopedRuns:
             )
             run_trace(env, system, trace, label=label)
 
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             one_run("run-a")
             one_run("run-b")
         processes = {process for process, _ in tracer.tracks()}

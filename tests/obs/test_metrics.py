@@ -8,6 +8,7 @@ cross-process worker-snapshot aggregation the serve layer uses.
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -18,17 +19,15 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
     append_snapshot_jsonl,
-    current_metrics,
     load_worker_snapshots,
     merge_worker_snapshots,
     metrics_dir,
-    metrics_for,
-    metrics_session,
     parse_prometheus,
     render_prometheus,
     write_prometheus,
     write_worker_snapshot,
 )
+from repro.obs.session import current_session, session
 
 
 class TestPrimitives:
@@ -259,6 +258,27 @@ class TestPrometheus:
         assert path.read_bytes() == first
         assert os.listdir(tmp_path) == ["metrics.prom"]  # no temp litter
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_written_files_get_the_plain_open_mode(self, tmp_path, umask):
+        """The atomic writes do not keep mkstemp's owner-only 0600: a
+        textfile collector running as another user must be able to
+        read the exposition, as it can any file the process writes."""
+        registry = MetricsRegistry()
+        previous = os.umask(umask)
+        try:
+            written = [
+                write_prometheus(registry, tmp_path / "metrics.prom"),
+                write_worker_snapshot(tmp_path, "w0", registry, pid=1),
+            ]
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        expected = stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+        assert expected == 0o666 & ~umask
+        for path in written:
+            assert stat.S_IMODE(os.stat(path).st_mode) == expected
+
     def test_append_snapshot_jsonl(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("repro_jobs_total").inc()
@@ -292,33 +312,22 @@ class TestNullMetrics:
 
 class TestAmbient:
     def test_default_is_null(self):
-        assert current_metrics() is NULL_METRICS
+        assert current_session().metrics is NULL_METRICS
 
     def test_session_installs_and_restores(self):
-        with metrics_session() as registry:
-            assert current_metrics() is registry
-            assert registry.enabled
-            with metrics_session() as inner:
-                assert current_metrics() is inner
-            assert current_metrics() is registry
-        assert current_metrics() is NULL_METRICS
+        registry, inner = MetricsRegistry(), MetricsRegistry()
+        with session(metrics=registry):
+            assert current_session().metrics is registry
+            with session(metrics=inner):
+                assert current_session().metrics is inner
+            assert current_session().metrics is registry
+        assert current_session().metrics is NULL_METRICS
 
     def test_session_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with metrics_session():
+            with session(metrics=MetricsRegistry()):
                 raise RuntimeError("boom")
-        assert current_metrics() is NULL_METRICS
-
-    def test_metrics_for_prefers_env_attribute(self):
-        class Env:
-            pass
-
-        env = Env()
-        assert metrics_for(env) is NULL_METRICS
-        registry = MetricsRegistry()
-        env.metrics = registry
-        with metrics_session():
-            assert metrics_for(env) is registry
+        assert current_session().metrics is NULL_METRICS
 
 
 class TestWorkerSnapshots:

@@ -12,12 +12,9 @@
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NullMetrics,
-    metrics_session,
-)
+from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.run import TRACEABLE_EXPERIMENTS, figures_digest
+from repro.obs.session import session
 
 #: Every study driver whose figures the digest-equality check covers —
 #: the four figure studies (rebuild is exercised separately by the
@@ -44,7 +41,8 @@ class TestFiguresBitIdentical:
         driver = TRACEABLE_EXPERIMENTS[name]
         figures, _ = driver(150, 1, 2)
         baseline = figures_digest(figures)
-        with metrics_session(MetricsRegistry()) as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             metered, _ = driver(150, 1, 2)
         assert figures_digest(metered) == baseline
         # The run really was metered, not silently unobserved.
@@ -74,7 +72,8 @@ class TestFiguresBitIdentical:
             )
 
         baseline = replay()
-        with metrics_session(MetricsRegistry()) as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             metered = replay()
         assert metered == baseline
         chunks = registry.counter("repro_replay_chunks_total")
@@ -85,7 +84,7 @@ class TestZeroCostDisabled:
     def test_disabled_metrics_never_reached_in_memory_run(self):
         from repro.experiments.limit_study import run_limit_study
 
-        with metrics_session(ExplodingMetrics()):
+        with session(metrics=ExplodingMetrics()):
             result = run_limit_study(requests=120)
         assert result
 
@@ -99,7 +98,7 @@ class TestZeroCostDisabled:
 
         path = tmp_path / "ws.trace.gz"
         save_trace(path, WEBSEARCH.generate(200))
-        with metrics_session(ExplodingMetrics()):
+        with session(metrics=ExplodingMetrics()):
             env = Environment()
             run = run_trace(
                 env,

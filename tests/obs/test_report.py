@@ -14,7 +14,8 @@ from repro.obs.report import (
     report_sections,
     write_html_report,
 )
-from repro.obs.tracer import Span, tracing
+from repro.obs.session import session
+from repro.obs.tracer import Span, Tracer
 from repro.sim.engine import Environment
 from repro.workloads.commercial import COMMERCIAL_WORKLOADS
 
@@ -23,7 +24,8 @@ from repro.workloads.commercial import COMMERCIAL_WORKLOADS
 def traced_run():
     workload = COMMERCIAL_WORKLOADS["websearch"]
     trace = workload.generate(200)
-    with tracing() as tracer:
+    tracer = Tracer()
+    with session(tracer=tracer):
         env = Environment()
         run = run_trace(env, build_hcsd_system(env, workload), trace)
     return tracer, run

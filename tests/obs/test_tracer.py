@@ -1,19 +1,16 @@
-"""Tests for the span recorder, null tracer, and discovery rules."""
+"""Tests for the span recorder, null tracer, and its ambient session."""
 
 import pickle
 
 import pytest
 
+from repro.obs.session import current_session, session
 from repro.obs.tracer import (
     NULL_TRACER,
     PHASES,
     NullTracer,
     Span,
     Tracer,
-    current_tracer,
-    set_current_tracer,
-    tracer_for,
-    tracing,
 )
 
 
@@ -229,44 +226,16 @@ class TestNullTracer:
         assert null.payload()["spans"] == []
 
     def test_singleton_default(self):
-        assert current_tracer() is NULL_TRACER
+        assert current_session().tracer is NULL_TRACER
 
 
 class TestDiscovery:
     def test_tracing_installs_and_restores(self):
-        before = current_tracer()
-        with tracing() as tracer:
-            assert current_tracer() is tracer
-            assert tracer.enabled
-        assert current_tracer() is before
-
-    def test_tracing_accepts_existing_tracer(self):
-        mine = Tracer()
-        with tracing(mine) as active:
-            assert active is mine
-
-    def test_set_current_tracer_none_resets_to_null(self):
-        previous = set_current_tracer(Tracer())
-        try:
-            assert set_current_tracer(None) is not NULL_TRACER
-            assert current_tracer() is NULL_TRACER
-        finally:
-            set_current_tracer(previous)
-
-    def test_env_attribute_wins(self):
-        class Env:
-            tracer = Tracer()
-
-        with tracing():
-            assert tracer_for(Env()) is Env.tracer
-
-    def test_ambient_fallback(self):
-        class Env:
-            pass
-
-        with tracing() as ambient:
-            assert tracer_for(Env()) is ambient
-        assert tracer_for(Env()) is NULL_TRACER
+        before = current_session().tracer
+        with session(tracer=Tracer()) as s:
+            assert current_session().tracer is s.tracer
+            assert s.tracer.enabled
+        assert current_session().tracer is before
 
 
 def test_phase_names_are_the_papers_decomposition():

@@ -16,9 +16,9 @@ import time
 
 import pytest
 
-from repro.chaos.failpoints import failpoints_session
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import ChaosEvent, ChaosPlan
+from repro.obs.session import session
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec
 from repro.serve.queue import (
@@ -396,7 +396,7 @@ def _sigterm_child(queue_dir):
             site="service.job.before_run", kind="hang", hang_s=60.0
         )
     ])
-    with failpoints_session(ChaosInjector(plan)):
+    with session(failpoints=ChaosInjector(plan)):
         worker_loop(
             queue_dir,
             owner="sig",
@@ -458,7 +458,7 @@ class TestSupervisorRestart:
         injector = ChaosInjector(
             plan, state_dir=str(tmp_path / "chaos")
         )
-        with failpoints_session(injector):
+        with session(failpoints=injector):
             codes = serve(
                 q, workers=1, drain=True, max_restarts=2,
                 durable=False,
@@ -487,7 +487,7 @@ class TestSupervisorRestart:
         injector = ChaosInjector(
             plan, state_dir=str(tmp_path / "chaos")
         )
-        with failpoints_session(injector):
+        with session(failpoints=injector):
             codes = serve(
                 q, workers=1, drain=True, max_restarts=1,
                 durable=False,

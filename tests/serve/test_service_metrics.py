@@ -13,11 +13,12 @@ import os
 import pytest
 
 from repro.obs.metrics import (
+    MetricsRegistry,
     NullMetrics,
-    metrics_session,
     parse_prometheus,
     render_prometheus,
 )
+from repro.obs.session import session
 from repro.serve.jobs import JobSpec
 from repro.serve.queue import JobQueue
 from repro.serve.service import (
@@ -121,11 +122,13 @@ class TestWorkerMetrics:
 
     def test_submit_records_on_ambient_registry(self, tmp_path):
         q = tmp_path / "q"
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             submit(q, JobSpec(**SMALL))
         assert registry.counter("repro_jobs_submitted_total").value == 1
         worker_loop(q, drain=True)
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             submit(q, JobSpec(**SMALL))
         hits = registry.counter("repro_submit_already_cached_total")
         assert hits.value == 1
@@ -157,7 +160,7 @@ class TestZeroCostDisabled:
     def test_unmetered_worker_never_touches_registry(self, tmp_path):
         q = tmp_path / "q"
         submit(q, JobSpec(**SMALL))
-        with metrics_session(ExplodingMetrics()):
+        with session(metrics=ExplodingMetrics()):
             snapshot = worker_loop(q, drain=True)
         assert snapshot["processed"] == 1
 
