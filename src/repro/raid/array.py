@@ -11,6 +11,7 @@ critical path.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.disk.drive import ConventionalDrive
@@ -18,7 +19,7 @@ from repro.disk.request import IORequest, release_request
 from repro.faults.errors import DataLossError
 from repro.faults.policy import RetryPolicy
 from repro.obs.session import current_session
-from repro.raid.layout import ConcatLayout, JBODLayout, Layout, Slice
+from repro.raid.layout import Layout, Slice
 from repro.sim.engine import Environment, Event
 
 __all__ = ["DiskArray"]
@@ -47,6 +48,23 @@ class DiskArray:
         ``timeout_ms``.  When ``None`` (the default) the request path
         is exactly the policy-free fast path — bit-identical to the
         pre-robustness controller.
+
+    Dispatch.  On a healthy array without a retry policy, ``submit``
+    first asks :meth:`Layout.route` for the one slice the whole extent
+    maps to; a hit is issued directly and completes from its drive's
+    completion callback.  Anything else goes through ``map_request``:
+    one slice completes the same way, several are joined by a
+    per-request countdown.  No process is started on this path; the
+    retry-policy path and rebuild remain processes.
+
+    Same-instant ordering.  Slices are submitted to the member drives
+    inside ``submit`` itself, at the submit instant, not from a process
+    initialisation event scheduled (URGENT) at that instant; only a
+    further submit at the same arrival time from the same producer
+    callback can run in between.  The logical completion is triggered
+    inside the last slice's completion callback, one event dispatch
+    earlier than an ``AllOf`` barrier would, at the same simulated
+    time.
     """
 
     def __init__(
@@ -92,21 +110,9 @@ class DiskArray:
         self.deadline_misses = 0
         self.unrecovered_requests = 0
         self.aborted_requests = 0
-        #: Pre-resolved single-slice translation for the passthrough
-        #: layouts (JBOD routes by source disk unchanged; concatenation
-        #: lands ``base[source] + lba`` on drive 0).  ``submit`` uses it
-        #: to skip the ``_map``/``map_request``/``Slice`` round trip on
-        #: the healthy, policy-free path; anything it cannot validate
-        #: falls back to ``_map`` so error behaviour is unchanged.
-        #: Exact-type checks: a layout subclass may override mapping.
-        self._fast_map: Optional[tuple] = None
-        if type(layout) is JBODLayout:
-            self._fast_map = (list(layout.disk_capacities), None)
-        elif type(layout) is ConcatLayout:
-            self._fast_map = (
-                list(layout.source_capacities),
-                list(layout._bases),
-            )
+        #: Single-slice translation, bound once: ``submit`` calls it
+        #: per request on the healthy, policy-free path.
+        self._route = layout.route
 
     # -- drive-like interface -------------------------------------------------
     @property
@@ -122,40 +128,25 @@ class DiskArray:
 
     def submit(self, request: IORequest) -> Event:
         """Issue a logical request; returns its completion event."""
-        fast = self._fast_map
-        if (
-            fast is not None
-            and self._failed_disk is None
-            and self.retry_policy is None
-        ):
-            capacities, bases = fast
-            source = request.source_disk
-            lba = request.lba
-            size = request.size
-            if 0 <= source < len(capacities) and (
-                lba + size <= capacities[source]
-            ):
+        if self._failed_disk is None and self.retry_policy is None:
+            routed = self._route(
+                request.lba, request.size, request.source_disk
+            )
+            if routed is not None:
+                disk, lba = routed
                 env = self.env
+                # Direct Event construction: one logical completion per
+                # submit, so the env.event() factory frame is overhead.
                 completion = Event(env)
                 self._outstanding[request.request_id] = completion
-                if bases is None:
-                    disk = source
-                else:
-                    disk = 0
-                    lba += bases[source]
                 physical = request.clone_slice(
-                    lba, size, request.is_read, env._now, disk
+                    lba, request.size, request.is_read, env._now, disk
                 )
                 self.drives[disk].submit(physical).callbacks.append(
-                    lambda event: self._finish_single(
-                        request, physical, completion
-                    )
+                    lambda event: self._finish(request, physical, completion)
                 )
                 return completion
-            # Out-of-range extent: let the layout raise its own error.
         slices = self._map(request)
-        # Direct Event construction: one logical completion per submit,
-        # so the env.event() factory frame is pure overhead.
         completion = Event(self.env)
         self._outstanding[request.request_id] = completion
         if self.retry_policy is not None:
@@ -164,12 +155,15 @@ class DiskArray:
             # a policy was configured, so the default request path is
             # byte-for-byte the policy-free controller.
             self.env.process(self._run_retry(request, slices, completion))
-        elif len(slices) == 1:
-            # Fast path for the overwhelmingly common case (JBOD,
-            # concatenation, unstriped RAID-0 accesses): one physical
-            # slice needs no coordinating process or AllOf barrier — a
-            # completion callback on the drive event finishes the
-            # logical request at the same simulated instant.
+        else:
+            self._issue(request, slices, completion)
+        return completion
+
+    def _issue(
+        self, request: IORequest, slices: List[Slice], completion: Event
+    ) -> None:
+        """Issue mapped slices now; completion runs from drive callbacks."""
+        if len(slices) == 1:
             piece = slices[0]
             physical = request.clone_slice(
                 piece.lba,
@@ -179,21 +173,25 @@ class DiskArray:
                 piece.disk,
             )
             self.drives[piece.disk].submit(physical).callbacks.append(
-                lambda event: self._finish_single(
-                    request, physical, completion
-                )
+                lambda event: self._finish(request, physical, completion)
             )
         else:
-            self.env.process(self._run(request, slices, completion))
-        return completion
+            _SliceCountdown(self, request, slices, completion)
 
-    def _finish_single(
+    def _finish(
         self,
         request: IORequest,
         physical: IORequest,
         completion: Event,
+        slices: int = 1,
+        phases: int = 1,
     ) -> None:
-        """Complete a one-slice logical request from its physical twin."""
+        """Complete a logical request from the slice that finished last.
+
+        ``physical`` supplies the measurement fields; it is recycled
+        afterwards.  ``slices`` and ``phases`` describe the fan-out for
+        the traced ``request`` span.
+        """
         if completion._ok is not None:  # ``triggered`` sans property frame
             # The logical request was already failed (member loss on a
             # non-redundant layout) while the physical slice was still
@@ -216,7 +214,7 @@ class DiskArray:
         self.requests_completed += 1
         self._outstanding.pop(request.request_id, None)
         if self.tracer.enabled:
-            self._record_logical_span(request, slices=1, phases=1)
+            self._record_logical_span(request, slices=slices, phases=phases)
         completion.succeed(request)
         for callback in self.on_complete:
             callback(request)
@@ -483,62 +481,16 @@ class DiskArray:
                 "repro_array_degraded_ms", "Simulated degraded-mode residency"
             ).set(self.degraded_ms)
 
-    def _run(self, request: IORequest, slices: List[Slice], completion: Event):
-        phases = sorted({piece.phase for piece in slices})
-        last_done: Optional[IORequest] = None
-        for phase in phases:
-            events = []
-            for piece in slices:
-                if piece.phase != phase:
-                    continue
-                physical = request.clone_slice(
-                    piece.lba,
-                    piece.size,
-                    piece.is_read,
-                    self.env.now,
-                    piece.disk,
-                )
-                events.append(self.drives[piece.disk].submit(physical))
-            if events:
-                result = yield self.env.all_of(events)
-                finished = [result[event] for event in result.events]
-                last_done = max(
-                    finished, key=lambda r: r.completion_time
-                )
-        if completion.triggered:
-            # Aborted mid-flight by a member failure on a
-            # non-redundant layout; nothing left to complete.
-            return
-        request.completion_time = self.env.now
-        if request.start_service is None:
-            request.start_service = request.arrival_time
-        if last_done is not None:
-            request.seek_time = last_done.seek_time
-            request.rotational_latency = last_done.rotational_latency
-            request.transfer_time = last_done.transfer_time
-            request.cache_hit = last_done.cache_hit
-            request.arm_id = last_done.arm_id
-            request.media_error = last_done.media_error
-            request.retries += last_done.retries
-        self.requests_completed += 1
-        self._outstanding.pop(request.request_id, None)
-        if self.tracer.enabled:
-            self._record_logical_span(
-                request, slices=len(slices), phases=len(phases)
-            )
-        completion.succeed(request)
-        for callback in self.on_complete:
-            callback(request)
-
     # -- retry-policy request path ------------------------------------------
     def _run_retry(
         self, request: IORequest, slices: List[Slice], completion: Event
     ):
         """Coordinating process used when a :class:`RetryPolicy` is set.
 
-        Identical phase structure to :meth:`_run`, but each slice runs
-        through :meth:`_slice_attempts`, which resubmits on unrecovered
-        media errors and accounts per-attempt deadline misses.
+        Same phase structure as :class:`_SliceCountdown`, but each
+        slice runs through :meth:`_slice_attempts`, which resubmits on
+        unrecovered media errors and accounts per-attempt deadline
+        misses (a deadline needs ``any_of``, so this stays a process).
         """
         phases = sorted({piece.phase for piece in slices})
         last_done: Optional[IORequest] = None
@@ -672,3 +624,85 @@ class DiskArray:
             }
             for drive in self.drives
         ]
+
+
+_completion_time = attrgetter("completion_time")
+
+
+class _SliceCountdown:
+    """The join of one multi-slice logical request, without a process.
+
+    Slices are issued phase by phase in ascending phase order.  Each
+    member-drive completion callback decrements the phase's count; the
+    callback that drains it issues the next phase at that instant, or
+    completes the logical request through :meth:`DiskArray._finish`.
+    The measurement fields come from the latest-finishing slice of the
+    last phase, the earliest in map order on a tie.  A request aborted
+    by a member failure issues no further phase.
+    """
+
+    __slots__ = (
+        "array",
+        "request",
+        "completion",
+        "slices",
+        "phases",
+        "next_phase",
+        "issued",
+        "remaining",
+    )
+
+    def __init__(
+        self,
+        array: DiskArray,
+        request: IORequest,
+        slices: List[Slice],
+        completion: Event,
+    ):
+        self.array = array
+        self.request = request
+        self.completion = completion
+        self.slices = slices
+        self.phases = sorted({piece.phase for piece in slices})
+        self.next_phase = 0
+        self._issue_phase()
+
+    def _issue_phase(self) -> None:
+        phase = self.phases[self.next_phase]
+        self.next_phase += 1
+        request = self.request
+        now = self.array.env._now
+        drives = self.array.drives
+        done = self._slice_done
+        issued = []
+        for piece in self.slices:
+            if piece.phase == phase:
+                physical = request.clone_slice(
+                    piece.lba, piece.size, piece.is_read, now, piece.disk
+                )
+                issued.append(physical)
+                drives[piece.disk].submit(physical).callbacks.append(done)
+        self.issued = issued
+        self.remaining = len(issued)
+
+    def _slice_done(self, event: Event) -> None:
+        self.remaining -= 1
+        if self.remaining:
+            return
+        issued = self.issued
+        # ``max`` keeps the first of equal keys: map order breaks ties.
+        last = max(issued, key=_completion_time)
+        for physical in issued:
+            if physical is not last:
+                release_request(physical)
+        if self.next_phase < len(self.phases) and self.completion._ok is None:
+            release_request(last)
+            self._issue_phase()
+            return
+        self.array._finish(
+            self.request,
+            last,
+            self.completion,
+            len(self.slices),
+            len(self.phases),
+        )

@@ -20,7 +20,7 @@ layouts cover the paper's experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "ConcatLayout",
@@ -76,6 +76,24 @@ class Layout:
     ) -> List[Slice]:
         raise NotImplementedError
 
+    def route(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        """``(disk, physical_lba)`` of the one slice a healthy array
+        issues for the whole extent, or ``None``.
+
+        A cheap pre-check the array controller tries before
+        :meth:`map_request`: layouts whose common case is a single
+        full-size phase-0 slice answer it with inline arithmetic and
+        no :class:`Slice` allocation.  ``None`` means "ask
+        :meth:`map_request`" — the extent fans out, is invalid (so
+        ``map_request`` raises the layout's own error), or the layout
+        does not know.  The base class always answers ``None``; it must
+        not call ``map_request``, which advances the read round-robin
+        state of the mirrored layouts.
+        """
+        return None
+
     def _check(self, lba: int, size: int) -> None:
         if lba < 0 or size <= 0:
             raise ValueError(f"bad logical extent lba={lba} size={size}")
@@ -112,6 +130,18 @@ class JBODLayout(Layout):
                 f"capacity {self.disk_capacities[source_disk]}"
             )
         return [Slice(source_disk, lba, size, is_read)]
+
+    def route(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        if (
+            0 <= source_disk < self.disk_count
+            and lba >= 0
+            and size > 0
+            and lba + size <= self.disk_capacities[source_disk]
+        ):
+            return source_disk, lba
+        return None
 
 
 class ConcatLayout(Layout):
@@ -150,12 +180,26 @@ class ConcatLayout(Layout):
                 f"source_disk {source_disk} out of range "
                 f"[0, {len(self.source_capacities)})"
             )
+        if lba < 0 or size <= 0:
+            raise ValueError(f"bad logical extent lba={lba} size={size}")
         if lba + size > self.source_capacities[source_disk]:
             raise ValueError(
                 f"extent [{lba}, {lba + size}) exceeds source disk "
                 f"{source_disk} capacity {self.source_capacities[source_disk]}"
             )
         return [Slice(0, self._bases[source_disk] + lba, size, is_read)]
+
+    def route(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        if (
+            0 <= source_disk < len(self.source_capacities)
+            and lba >= 0
+            and size > 0
+            and lba + size <= self.source_capacities[source_disk]
+        ):
+            return 0, self._bases[source_disk] + lba
+        return None
 
 
 class InterleavedConcatLayout(Layout):
@@ -270,6 +314,23 @@ class Raid0Layout(Layout):
             cursor += run
             remaining -= run
         return _coalesce(slices)
+
+    def route(
+        self, lba: int, size: int, source_disk: int = 0
+    ) -> Optional[Tuple[int, int]]:
+        disks = self.disk_count
+        if lba < 0 or size <= 0 or lba + size > disks * self.disk_capacity:
+            return None
+        if disks == 1:
+            # Consecutive units are physically adjacent on the one
+            # member, so every valid extent coalesces to one slice.
+            return 0, lba
+        unit = self.stripe_unit
+        unit_index, offset = divmod(lba, unit)
+        if offset + size > unit:
+            return None
+        row, disk = divmod(unit_index, disks)
+        return disk, row * unit + offset
 
 
 class Raid5Layout(Layout):

@@ -175,9 +175,19 @@ class MaidArray(DiskArray):
         ]
         if wakes:
             yield self.env.all_of(wakes)
-        for index in members:
-            self._spin[index].last_activity = self.env.now
-        yield from self._run(request, slices, completion)
+        self._stamp_activity(members)
+        if completion._ok is not None:
+            # Lost to a member failure during the spin-up wait.
+            return
+        # The spin-up wait is the only reason this is a process: the
+        # slices join through the array's countdown, like any other
+        # request, and the members are stamped again on completion.
+        self._issue(request, slices, completion)
+        completion.callbacks.append(
+            lambda event: self._stamp_activity(members)
+        )
+
+    def _stamp_activity(self, members: List[int]) -> None:
         for index in members:
             self._spin[index].last_activity = self.env.now
 

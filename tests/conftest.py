@@ -4,6 +4,7 @@ import pytest
 
 from repro.disk.request import IORequest
 from repro.disk.specs import DriveSpec
+from repro.sim.engine import Environment
 
 
 @pytest.fixture
@@ -39,3 +40,20 @@ def forbid_request_equality(monkeypatch):
         raise AssertionError("requests compared by value")
 
     monkeypatch.setattr(IORequest, "__eq__", no_value_equality)
+
+
+@pytest.fixture
+def forbid_process(monkeypatch):
+    """Make starting a simulation process an error for one test.
+
+    Paths that must run on callbacks alone (the array's healthy
+    request path) are checked by running them under this fixture.  A
+    real drive starts its serve loop at construction, so such tests
+    use member stand-ins that start no process of their own.
+    """
+
+    def no_process(self, generator):
+        generator.close()
+        raise AssertionError("a simulation process was started")
+
+    monkeypatch.setattr(Environment, "process", no_process)

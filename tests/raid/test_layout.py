@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.raid.layout import (
     ConcatLayout,
+    InterleavedConcatLayout,
     JBODLayout,
     Raid0Layout,
+    Raid1Layout,
+    Raid10Layout,
     Raid5Layout,
     Slice,
 )
@@ -76,6 +79,14 @@ class TestConcat:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             ConcatLayout([100, 0])
+
+    @pytest.mark.parametrize("lba,size", [(-10, 8), (10, 0), (10, -4)])
+    def test_bad_extent_rejected_not_aliased(self, lba, size):
+        # A negative lba must not land in the previous source's band.
+        layout = ConcatLayout([1000, 1000])
+        with pytest.raises(ValueError, match="bad logical extent"):
+            layout.map_request(lba, size, True, source_disk=1)
+        assert layout.route(lba, size, source_disk=1) is None
 
 
 class TestRaid0:
@@ -242,3 +253,92 @@ class TestInterleavedConcat:
             layout.map_request(995, 10, True, source_disk=0)
         with pytest.raises(ValueError):
             layout.map_request(0, 10, True, source_disk=5)
+
+
+def _expected_route(layout, lba, size, source_disk):
+    """What ``route`` must answer, derived from ``map_request``."""
+    try:
+        slices = layout.map_request(lba, size, True, source_disk)
+    except ValueError:
+        return None
+    if len(slices) != 1:
+        return None
+    (piece,) = slices
+    if piece.size != size or piece.phase != 0:
+        return None
+    return piece.disk, piece.lba
+
+
+class TestRoute:
+    """``route`` is the single-slice shortcut of ``map_request``."""
+
+    extents = dict(
+        lba=st.integers(-20, 1100),
+        size=st.integers(-2, 200),
+        source=st.integers(-1, 4),
+    )
+
+    @given(capacities=st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+           **extents)
+    @settings(max_examples=300)
+    def test_jbod_agrees_with_map_request(self, capacities, lba, size, source):
+        layout = JBODLayout(capacities)
+        assert layout.route(lba, size, source) == _expected_route(
+            layout, lba, size, source
+        )
+
+    @given(capacities=st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+           **extents)
+    @settings(max_examples=300)
+    def test_concat_agrees_with_map_request(
+        self, capacities, lba, size, source
+    ):
+        layout = ConcatLayout(capacities)
+        assert layout.route(lba, size, source) == _expected_route(
+            layout, lba, size, source
+        )
+
+    @given(
+        disks=st.integers(1, 5),
+        capacity=st.integers(1, 400),
+        unit=st.integers(1, 64),
+        **extents,
+    )
+    @settings(max_examples=500)
+    def test_raid0_agrees_with_map_request(
+        self, disks, capacity, unit, lba, size, source
+    ):
+        layout = Raid0Layout(disks, capacity, stripe_unit=unit)
+        assert layout.route(lba, size, source) == _expected_route(
+            layout, lba, size, source
+        )
+
+    def test_raid0_unit_spanning_extent_is_not_routed(self):
+        layout = Raid0Layout(2, 10_000, stripe_unit=10)
+        assert layout.route(5, 5, 0) == (0, 5)
+        assert layout.route(5, 6, 0) is None
+        assert layout.route(25, 5, 0) == (0, 15)
+
+    def test_one_disk_raid0_routes_spanning_extents(self):
+        layout = Raid0Layout(1, 10_000, stripe_unit=10)
+        assert layout.route(5, 40, 0) == (0, 5)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            InterleavedConcatLayout([1000, 1000], unit=10),
+            Raid1Layout(2, 1000),
+            Raid10Layout(4, 1000, stripe_unit=10),
+            Raid5Layout(4, 1000, stripe_unit=10),
+        ],
+        ids=lambda layout: type(layout).__name__,
+    )
+    def test_base_layouts_never_route(self, layout):
+        assert layout.route(0, 8, 0) is None
+
+    def test_base_route_leaves_read_balancing_untouched(self):
+        layout = Raid1Layout(3, 1000)
+        for _ in range(5):
+            assert layout.route(0, 8, 0) is None
+        assert layout._next_read_replica == 0
+        assert layout.map_request(0, 8, True)[0].disk == 0
